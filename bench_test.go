@@ -52,7 +52,7 @@ func benchmarkGraphCoalescer(b *testing.B, improved bool) {
 			}
 			for i := 0; i < b.N; i++ {
 				r := bench.RunPipeline(f, algo)
-				matrix = r.GraphStats.TotalMatrixBytes()
+				matrix = r.Graph.TotalMatrixBytes()
 			}
 			b.ReportMetric(float64(matrix), "matrixB/op")
 		})

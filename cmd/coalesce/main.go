@@ -8,15 +8,16 @@
 //	coalesce -algo new -stats testdata/vswap.kl
 //	coalesce -algo briggs* -dump-ssa -run "1,2" kernel.kl
 //	coalesce -batch dir/ -jobs 8 -stats
-//	coalesce -batch dir/ -serve 127.0.0.1:8080
 //	coalesce -stream -n 1000000 -families phi-web,gen -jobs 4
 //	coalesce -spool corpus.spool -n 100000
 //	coalesce -stream -spool corpus.spool -algo briggs*
 //
 // Flags:
 //
-//	-algo     standard | new | briggs | briggs*   (default new)
-//	-ssa      pruned | semi | minimal             (default pruned)
+//	-algo     standard | new | briggs | briggs* (alias briggs-star)
+//	          (default new)
+//	-ssa      pruned | semi | minimal: SSA flavor for every mode
+//	          (default pruned)
 //	-domsolver  chk | semi-nca: dominator algorithm  (default chk)
 //	-livesolver worklist | round-robin | sparse: liveness algorithm
 //	          (default worklist); both solver flags are output-invariant
@@ -27,20 +28,14 @@
 //	-check    none | fast | full: audit the conversion with internal/analysis
 //	-regalloc allocate registers after destruction (Chaitin/Briggs, spill
 //	          code into a dedicated array; see REGALLOC.md); applies to
-//	          single-file, -batch, and -serve modes
+//	          single-file, -batch, and -stream modes
 //	-k        register count for -regalloc (default 8)
 //	-batch    compile every .kl/.ir file under a directory concurrently
-//	-jobs     worker count for -batch (default: one per CPU)
-//	-trace    write a JSONL phase trace of the batch to this file
-//	-cachemb  content-addressed result cache budget in MiB for -batch and
-//	          -serve (0 = off); with -check, hits are revalidated
-//	-serve    address for the monitored service mode: replay the -batch
-//	          jobs round after round while serving /metrics, /debug/vars,
-//	          /trace, and /debug/pprof until SIGINT/SIGTERM (then drain and
-//	          exit); with -cachemb every round after the first is answered
-//	          from the result cache, so the load becomes the warm-hit path
-//	-interval pause between -serve rounds (default 1s)
-//	-rounds   stop -serve after this many rounds (0 = until a signal)
+//	-jobs     worker count for -batch and -stream (default: one per CPU)
+//	-trace    write a JSONL phase trace of the -batch or -stream run to
+//	          this file
+//	-cachemb  content-addressed result cache budget in MiB for -batch
+//	          (0 = off); with -check, hits are revalidated
 //	-stream   streamed mode: pull a generated corpus (or a -spool file)
 //	          through the bounded-memory engine — jobs are synthesized on
 //	          demand and results fold into a streaming reducer, so memory
@@ -70,23 +65,18 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/core"
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/driver"
-	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
-	"fastcoalesce/internal/obs/obshttp"
 	"fastcoalesce/internal/opt"
-	"fastcoalesce/internal/regalloc"
 	"fastcoalesce/internal/ssa"
 )
 
@@ -100,8 +90,8 @@ func main() {
 // realMain carries every error back here so deferred writers (trace
 // files, buffered stdout) flush before the process exits non-zero.
 func realMain() error {
-	algo := flag.String("algo", "new", "standard | new | briggs | briggs*")
-	flavor := flag.String("ssa", "pruned", "pruned | semi | minimal")
+	algoName := flag.String("algo", "new", "standard | new | briggs | briggs* (alias briggs-star)")
+	flavorName := flag.String("ssa", "pruned", "pruned | semi | minimal")
 	domSolverName := flag.String("domsolver", "chk", "dominator solver: chk | semi-nca")
 	liveSolverName := flag.String("livesolver", "worklist", "liveness solver: worklist | round-robin | sparse")
 	dumpIn := flag.Bool("dump-in", false, "print the input IR")
@@ -113,12 +103,9 @@ func realMain() error {
 	doRegalloc := flag.Bool("regalloc", false, "allocate registers after destruction (see REGALLOC.md)")
 	k := flag.Int("k", 8, "register count for -regalloc")
 	batch := flag.String("batch", "", "compile every .kl/.ir file under this directory through the batch driver")
-	jobs := flag.Int("jobs", 0, "worker count for -batch (0 = one per CPU)")
-	trace := flag.String("trace", "", "write a JSONL phase trace of the batch to this file")
-	cachemb := flag.Int("cachemb", 0, "result cache budget in MiB for -batch/-serve (0 = off)")
-	serve := flag.String("serve", "", "monitored service mode: serve /metrics etc. on this address while replaying the -batch jobs (cache-aware with -cachemb)")
-	interval := flag.Duration("interval", time.Second, "pause between -serve rounds")
-	rounds := flag.Int("rounds", 0, "stop -serve after this many rounds (0 = until SIGINT/SIGTERM)")
+	jobs := flag.Int("jobs", 0, "worker count for -batch/-stream (0 = one per CPU)")
+	trace := flag.String("trace", "", "write a JSONL phase trace of the -batch/-stream run to this file")
+	cachemb := flag.Int("cachemb", 0, "result cache budget in MiB for -batch (0 = off)")
 	stream := flag.Bool("stream", false, "streamed mode: run a generated corpus (or a -spool file) through the bounded-memory engine")
 	spool := flag.String("spool", "", "spool file: written from the generated corpus without -stream, replayed with -stream")
 	corpusN := flag.Int64("n", 100_000, "corpus size for -stream / -spool generation")
@@ -128,49 +115,47 @@ func realMain() error {
 	checkEvery := flag.Int("checkevery", 0, "with -stream and -check: audit only every Nth job (0/1 = every job)")
 	flag.Parse()
 
-	check, err := analysis.ParseLevel(*checkName)
-	if err != nil {
+	// Every mode compiles under one Config built from the shared flags.
+	var cfg driver.Config
+	var err error
+	if cfg.Algo, err = driver.ParseAlgo(*algoName); err != nil {
 		return err
 	}
-	domSolver, err := dom.ParseSolver(*domSolverName)
-	if err != nil {
+	if cfg.Flavor, err = ssa.ParseFlavor(*flavorName); err != nil {
 		return err
 	}
-	liveSolver, err := liveness.ParseSolver(*liveSolverName)
-	if err != nil {
+	if cfg.Check, err = analysis.ParseLevel(*checkName); err != nil {
 		return err
 	}
-	solvers := solverChoice{dom: domSolver, live: liveSolver}
-	regallocK := 0
+	if cfg.DomSolver, err = dom.ParseSolver(*domSolverName); err != nil {
+		return err
+	}
+	if cfg.LiveSolver, err = liveness.ParseSolver(*liveSolverName); err != nil {
+		return err
+	}
 	if *doRegalloc {
-		regallocK = *k
+		cfg.RegallocK = *k
 	}
+	cfg.Workers = *jobs
 
 	if *stream || *spool != "" {
-		if *batch != "" || *serve != "" {
-			return fmt.Errorf("-stream/-spool and -batch/-serve are mutually exclusive")
+		if *batch != "" {
+			return fmt.Errorf("-stream/-spool and -batch are mutually exclusive")
 		}
 		fams := splitList(*families)
 		if !*stream {
 			return writeSpool(*spool, *corpusN, fams, *seed)
 		}
-		return runStreamMode(*spool, *corpusN, fams, *seed, *algo, *jobs,
-			*chunk, *checkEvery, check, *trace, solvers, regallocK)
-	}
-	if *serve != "" {
-		if *batch == "" {
-			return fmt.Errorf("-serve needs -batch <dir> to know what to compile")
-		}
-		return runServe(*batch, *algo, *jobs, check, *cachemb, *serve, *interval, *rounds, *trace, solvers, regallocK)
+		return runStreamMode(*spool, *corpusN, fams, *seed, cfg, *chunk, *checkEvery, *trace)
 	}
 	if *batch != "" {
-		return runBatch(*batch, *algo, *jobs, *stats, check, *cachemb, *trace, solvers, regallocK)
+		return runBatch(os.Stdout, *batch, cfg, *stats, *cachemb, *trace)
 	}
 	if *cachemb != 0 {
-		return fmt.Errorf("-cachemb applies to -batch and -serve modes")
+		return fmt.Errorf("-cachemb applies to -batch mode")
 	}
 	if *trace != "" {
-		return fmt.Errorf("-trace applies to -batch and -serve modes")
+		return fmt.Errorf("-trace applies to -batch and -stream modes")
 	}
 
 	if flag.NArg() != 1 {
@@ -196,141 +181,96 @@ func realMain() error {
 		}
 	}
 
-	var fl ssa.Flavor
-	switch *flavor {
-	case "pruned":
-		fl = ssa.Pruned
-	case "semi":
-		fl = ssa.SemiPruned
-	case "minimal":
-		fl = ssa.Minimal
-	default:
-		return fmt.Errorf("unknown -ssa flavor %q", *flavor)
-	}
-
+	show := singleOpts{dumpIn: *dumpIn, dumpSSA: *dumpSSA, stats: *stats, optimize: *optimize, runArgs: *runArgs}
 	for _, f := range funcs {
-		if err := process(f, *algo, fl, *dumpIn, *dumpSSA, *stats, *optimize, *runArgs, check, solvers, regallocK); err != nil {
+		if err := process(os.Stdout, f, cfg, show); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// solverChoice carries the substrate-solver flags through the call tree.
-type solverChoice struct {
-	dom  dom.Solver
-	live liveness.Solver
+// singleOpts are the single-file mode's presentation flags.
+type singleOpts struct {
+	dumpIn, dumpSSA, stats, optimize bool
+	runArgs                          string
 }
 
-func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, optimize bool, runArgs string, check analysis.Level, solvers solverChoice, regallocK int) error {
-	if dumpIn {
-		fmt.Printf("=== input %s ===\n%s\n", orig.Name, orig)
+// process runs one function through the driver's pipeline — BuildSSA,
+// then Destruct, then the optional Allocate backend — cold and on one
+// goroutine, printing to w. It adds only what the single-file mode
+// shows: -opt and -dump-ssa between the two halves, the statistics, the
+// audit report, and the -run differential.
+func process(w io.Writer, orig *ir.Func, cfg driver.Config, show singleOpts) error {
+	if show.dumpIn {
+		fmt.Fprintf(w, "=== input %s ===\n%s\n", orig.Name, orig)
 	}
 	f := orig.Clone()
-	fold := algo == "new" || algo == "standard"
-	var ssaStats *ssa.Stats
-	if orig.CountPhis() > 0 {
-		// The input is already in SSA form (e.g. a hand-written .ir
-		// file): skip construction, just prepare for destruction.
-		if algo == "briggs" || algo == "briggs*" {
-			return fmt.Errorf("-algo %s rebuilds SSA without folding and cannot "+
-				"take SSA-form input; use new or standard", algo)
-		}
-		f.SplitCriticalEdges()
-		ssaStats = &ssa.Stats{}
-	} else {
-		ssaStats = ssa.Build(f, ssa.Options{
-			Flavor: fl, FoldCopies: fold,
-			DomSolver: solvers.dom, LiveSolver: solvers.live,
-		})
+	st, err := driver.BuildSSA(f, cfg, nil)
+	if err != nil {
+		return fmt.Errorf("%s: %w; use -algo new or standard", f.Name, err)
 	}
-	if optimize {
+	fold := cfg.Algo.FoldsCopies()
+	if show.optimize {
 		if !fold {
 			return fmt.Errorf("-opt requires -algo new or standard " +
 				"(φ-web joining is unsound on optimized SSA)")
 		}
 		ost := opt.Optimize(f)
-		if stats {
-			fmt.Printf("%s: opt folded=%d simplified=%d numbered=%d dce=%d rounds=%d\n",
+		if show.stats {
+			fmt.Fprintf(w, "%s: opt folded=%d simplified=%d numbered=%d dce=%d rounds=%d\n",
 				f.Name, ost.Folded, ost.Simplified, ost.Numbered, ost.DeadCode, ost.Rounds)
 		}
 	}
-	if dumpSSA {
-		fmt.Printf("=== ssa %s (%v, fold=%v) ===\n%s\n", f.Name, fl, fold, f)
+	if show.dumpSSA {
+		fmt.Fprintf(w, "=== ssa %s (%v, fold=%v) ===\n%s\n", f.Name, cfg.Flavor, fold, f)
 	}
 
-	// The audit needs the SSA form as destruction saw it and the renaming
-	// the pipeline applied (see internal/driver for the batch equivalent).
+	// The audit needs the SSA form as destruction saw it.
 	var ssaSnap *ir.Func
-	if check != analysis.None {
+	if cfg.Check != analysis.None {
 		ssaSnap = f.Clone()
 	}
-	var nameMap []ir.VarID
-
-	switch algo {
-	case "standard":
-		ds := ssa.DestructStandard(f)
-		// Standard never renames: the identity map (nil) is correct.
-		if stats {
-			fmt.Printf("%s: φs=%d folded=%d inserted=%d temps=%d\n",
-				f.Name, ssaStats.PhisInserted, ssaStats.CopiesFolded,
-				ds.CopiesInserted, ds.TempsCreated)
-		}
-	case "new":
-		cs := core.Coalesce(f, core.Options{
-			RecordNameMap: check != analysis.None,
-			DomSolver:     solvers.dom, LiveSolver: solvers.live,
-		})
-		nameMap = cs.NameMap
-		if stats {
-			fmt.Printf("%s: φs=%d folded=%d unions=%d filters=%v forest-splits=%d local-splits=%d rounds=%d copies=%d classes=%d\n",
-				f.Name, ssaStats.PhisInserted, ssaStats.CopiesFolded,
+	ds, err := driver.Destruct(f, st, cfg, nil)
+	if err != nil {
+		return err
+	}
+	if show.stats {
+		switch cfg.Algo {
+		case driver.Standard:
+			fmt.Fprintf(w, "%s: φs=%d folded=%d inserted=%d temps=%d\n",
+				f.Name, st.PhisInserted, st.CopiesFolded,
+				ds.Standard.CopiesInserted, ds.Standard.TempsCreated)
+		case driver.New:
+			cs := &ds.Core
+			fmt.Fprintf(w, "%s: φs=%d folded=%d unions=%d filters=%v forest-splits=%d local-splits=%d rounds=%d copies=%d classes=%d\n",
+				f.Name, st.PhisInserted, st.CopiesFolded,
 				cs.InitialUnions, cs.FilterHits, cs.ForestSplits,
 				cs.LocalSplits, cs.Rounds, cs.CopiesInserted, cs.Classes)
+		default:
+			fmt.Fprintf(w, "%s: φs=%d passes=%d coalesced=%d matrix-bytes=%d\n",
+				f.Name, st.PhisInserted, len(ds.Graph.Passes),
+				ds.Graph.CopiesCoalesced, ds.Graph.TotalMatrixBytes())
 		}
-	case "briggs", "briggs*":
-		joinMap := ifgraph.JoinPhiWebs(f)
-		// JoinPhiWebs only renames; the CFG is unchanged since the SSA
-		// build, so the construction-time dominator tree still applies.
-		depth := ssaStats.Dom.FindLoops().Depth
-		cs := ifgraph.Coalesce(f, ifgraph.Options{
-			Improved:      algo == "briggs*",
-			Depth:         depth,
-			RecordNameMap: check != analysis.None,
-		})
-		if check != analysis.None {
-			// Compose the two renamings: SSA name → φ-web rep → final name.
-			nameMap = joinMap
-			for v := range nameMap {
-				nameMap[v] = cs.NameMap[nameMap[v]]
-			}
-		}
-		if stats {
-			fmt.Printf("%s: φs=%d passes=%d coalesced=%d matrix-bytes=%d\n",
-				f.Name, ssaStats.PhisInserted, len(cs.Passes),
-				cs.CopiesCoalesced, cs.TotalMatrixBytes())
-		}
-	default:
-		return fmt.Errorf("unknown -algo %q", algo)
 	}
 
 	if err := f.Verify(); err != nil {
 		return err
 	}
-	fmt.Printf("=== output %s (%s): %d static copies ===\n%s\n",
-		f.Name, algo, f.CountCopies(), f)
+	fmt.Fprintf(w, "=== output %s (%v): %d static copies ===\n%s\n",
+		f.Name, cfg.Algo, f.CountCopies(), f)
 
-	if check != analysis.None {
+	if cfg.Check != analysis.None {
 		rep := analysis.RunAll(&analysis.Unit{
-			Algo:    algo,
+			Algo:    cfg.Algo.String(),
 			SSA:     ssaSnap,
 			Out:     f,
-			NameMap: nameMap,
-		}, check)
+			NameMap: ds.NameMap,
+		}, cfg.Check)
 		if rep.Failed() || len(rep.Skipped) > 0 {
-			fmt.Printf("=== audit %s (%v) ===\n%s", f.Name, check, rep)
+			fmt.Fprintf(w, "=== audit %s (%v) ===\n%s", f.Name, cfg.Check, rep)
 		} else {
-			fmt.Printf("=== audit %s (%v): clean ===\n", f.Name, check)
+			fmt.Fprintf(w, "=== audit %s (%v): clean ===\n", f.Name, cfg.Check)
 		}
 		if rep.Failed() {
 			return fmt.Errorf("%s: audit reported %d findings", f.Name, len(rep.Diags))
@@ -339,30 +279,22 @@ func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, 
 
 	// Allocation runs after the audit: the name map covers the coalesced
 	// names, not the spill temps the rewrite mints.
-	if regallocK > 0 {
-		ra, err := regalloc.Allocate(f, regalloc.Options{
-			K: regallocK, DomSolver: solvers.dom, LiveSolver: solvers.live,
-		})
+	if cfg.RegallocK > 0 {
+		ra, err := driver.Allocate(f, cfg, nil)
 		if err != nil {
-			return fmt.Errorf("%s: regalloc: %w", f.Name, err)
+			return fmt.Errorf("%s: %w", f.Name, err)
 		}
-		if err := regalloc.VerifyAllocation(f, ra.Colors, regallocK); err != nil {
-			return fmt.Errorf("%s: regalloc verify: %w", f.Name, err)
-		}
-		if err := f.Verify(); err != nil {
-			return fmt.Errorf("%s: spilled code invalid: %w", f.Name, err)
-		}
-		fmt.Printf("=== regalloc %s: k=%d spills=%d reloads=%d stores=%d rounds=%d colors=%d pressure=%d ===\n",
-			f.Name, regallocK, ra.SpilledVars, ra.Reloads, ra.Stores, ra.Rounds,
+		fmt.Fprintf(w, "=== regalloc %s: k=%d spills=%d reloads=%d stores=%d rounds=%d colors=%d pressure=%d ===\n",
+			f.Name, cfg.RegallocK, ra.SpilledVars, ra.Reloads, ra.Stores, ra.Rounds,
 			ra.ColorsUsed, ra.MaxPressure)
 		if ra.SpilledVars > 0 {
-			fmt.Printf("%s\n", f)
+			fmt.Fprintf(w, "%s\n", f)
 		}
 	}
 
-	if runArgs != "" {
+	if show.runArgs != "" {
 		var args []int64
-		for _, part := range strings.Split(runArgs, ",") {
+		for _, part := range strings.Split(show.runArgs, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 			if err != nil {
 				return fmt.Errorf("-run: %w", err)
@@ -388,7 +320,7 @@ func process(orig *ir.Func, algo string, fl ssa.Flavor, dumpIn, dumpSSA, stats, 
 		if !interp.SameResult(want, got) {
 			status = "MISMATCH"
 		}
-		fmt.Printf("run(%v): original=%d rewritten=%d [%s]; dynamic copies %d -> %d\n",
+		fmt.Fprintf(w, "run(%v): original=%d rewritten=%d [%s]; dynamic copies %d -> %d\n",
 			args, want.Ret, got.Ret, status, want.Counts.Copies, got.Counts.Copies)
 	}
 	return nil
@@ -419,7 +351,7 @@ func collectJobs(dir string, algo driver.Algo, w io.Writer) ([]driver.Job, error
 	// The Briggs pipelines rebuild SSA without copy folding and cannot
 	// take inputs that are already in SSA form, so φ-form .ir files are
 	// skipped (with a note) instead of surfacing as batch errors.
-	briggs := algo == driver.Briggs || algo == driver.BriggsStar
+	briggs := !algo.FoldsCopies()
 
 	var batchJobs []driver.Job
 	for _, path := range paths {
@@ -455,24 +387,18 @@ func collectJobs(dir string, algo driver.Algo, w io.Writer) ([]driver.Job, error
 }
 
 // buildRecorder creates the observability recorder when tracing demands
-// one (or force is set), plus a close function that flushes the trace
-// sink and surfaces its first write error.
-func buildRecorder(tracePath string, force bool) (*obs.Recorder, func() error, error) {
+// one, plus a close function that flushes the trace sink and surfaces its
+// first write error.
+func buildRecorder(tracePath string) (*obs.Recorder, func() error, error) {
 	var tf *os.File
+	var rec *obs.Recorder
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
 			return nil, nil, err
 		}
 		tf = f
-	}
-	var rec *obs.Recorder
-	if tf != nil || force {
-		o := obs.Options{}
-		if tf != nil {
-			o.Trace = tf
-		}
-		rec = obs.NewRecorder(o)
+		rec = obs.NewRecorder(obs.Options{Trace: tf})
 	}
 	closeFn := func() error {
 		err := rec.Close() // nil-safe; flushes the JSONL buffer
@@ -500,30 +426,25 @@ func buildCache(cachemb int, rec *obs.Recorder) *cache.Cache {
 }
 
 // runBatch compiles every .kl/.ir file under dir through the concurrent
-// batch driver, prints one summary line per function in deterministic
-// (path) order, and finishes with the batch metrics table.
-func runBatch(dir, algoName string, workers int, stats bool, check analysis.Level, cachemb int, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
-	out := bufio.NewWriter(os.Stdout)
-	batchJobs, err := collectJobs(dir, algo, out)
+// batch driver under cfg, prints one summary line per function to w in
+// deterministic (path) order, and finishes with the batch metrics table.
+func runBatch(w io.Writer, dir string, cfg driver.Config, stats bool, cachemb int, tracePath string) error {
+	out := bufio.NewWriter(w)
+	batchJobs, err := collectJobs(dir, cfg.Algo, out)
 	if err != nil {
 		out.Flush()
 		return err
 	}
-	rec, closeRec, err := buildRecorder(tracePath, false)
+	rec, closeRec, err := buildRecorder(tracePath)
 	if err != nil {
 		out.Flush()
 		return err
 	}
+	cfg.Obs = rec
+	cfg.Cache = buildCache(cachemb, rec)
+	cfg.Revalidate = cfg.Check != analysis.None
 
-	results, snap := driver.Run(batchJobs, driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
-		Cache: buildCache(cachemb, rec), Revalidate: check != analysis.None,
-	})
+	results, snap := driver.Run(batchJobs, cfg)
 	bad, findings := 0, 0
 	for _, r := range results {
 		if r.Err != nil {
@@ -605,11 +526,8 @@ func writeSpool(path string, n int64, families []string, seed int64) error {
 // file) through the streaming engine and prints the reducer's table.
 // Memory stays bounded by workers × chunk no matter how large the
 // corpus is; SIGINT/SIGTERM stops pulling and drains in-flight work.
-func runStreamMode(spoolPath string, n int64, families []string, seed int64, algoName string, workers, chunk, checkEvery int, check analysis.Level, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
+func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg driver.Config, chunk, checkEvery int, tracePath string) error {
+	var err error
 	var src driver.JobSource
 	var spoolSrc *driver.SpoolSource
 	if spoolPath != "" {
@@ -625,22 +543,19 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, alg
 		}
 		src = cs
 	}
-	rec, closeRec, err := buildRecorder(tracePath, false)
+	rec, closeRec, err := buildRecorder(tracePath)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
-	}
+	cfg.Obs = rec
 	red := driver.NewStreamStats()
 	rep := driver.RunStream(ctx, src, cfg, driver.StreamOptions{
 		Chunk: chunk, CheckEvery: checkEvery,
 	}, red)
-	fmt.Print(red.Table(rep, algo, regallocK))
+	fmt.Print(red.Table(rep, cfg.Algo, cfg.RegallocK))
 	if err := closeRec(); err != nil {
 		return err
 	}
@@ -660,69 +575,4 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, alg
 		return fmt.Errorf("cancelled: %d jobs skipped after %d processed", rep.Skipped, rep.Processed)
 	}
 	return nil
-}
-
-// runServe is the monitored service mode: it replays the batch round
-// after round through driver.Serve while an HTTP exporter serves
-// /metrics, /debug/vars, /trace, and /debug/pprof from the same
-// recorder. With -cachemb the first round fills the content-addressed
-// cache and every later round is answered from it, so a scraper watches
-// the warm-hit path under sustained load; without it each round
-// recompiles from scratch. SIGINT/SIGTERM cancels the context;
-// in-flight jobs drain, the exporter shuts down gracefully, and the
-// session report prints.
-func runServe(dir, algoName string, workers int, check analysis.Level, cachemb int, addr string, interval time.Duration, rounds int, tracePath string, solvers solverChoice, regallocK int) error {
-	algo, err := driver.ParseAlgo(algoName)
-	if err != nil {
-		return err
-	}
-	out := bufio.NewWriter(os.Stdout)
-	batchJobs, err := collectJobs(dir, algo, out)
-	if err != nil {
-		out.Flush()
-		return err
-	}
-	rec, closeRec, err := buildRecorder(tracePath, true)
-	if err != nil {
-		out.Flush()
-		return err
-	}
-	srv, err := obshttp.Start(addr, rec)
-	if err != nil {
-		closeRec()
-		out.Flush()
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	fmt.Fprintf(out, "serving http://%s/metrics (%d jobs, algo %v); SIGINT/SIGTERM drains and exits\n",
-		srv.Addr(), len(batchJobs), algo)
-	out.Flush()
-
-	cfg := driver.Config{
-		Algo: algo, Workers: workers, Check: check, Obs: rec,
-		DomSolver: solvers.dom, LiveSolver: solvers.live, RegallocK: regallocK,
-		Cache: buildCache(cachemb, rec), Revalidate: check != analysis.None,
-	}
-	rep := driver.Serve(ctx, batchJobs, cfg, driver.ServeOptions{
-		Interval: interval,
-		Rounds:   rounds,
-		OnRound: func(round int, snap *driver.Snapshot) {
-			fmt.Fprintf(out, "round %-4d functions %-4d errors %-3d skipped %-3d wall %v\n",
-				round, snap.Functions, snap.Errors, snap.Skipped, snap.Wall.Round(time.Microsecond))
-			out.Flush()
-		},
-	})
-	stop()
-
-	fmt.Fprintf(out, "served %d rounds: %d functions, %d errors, %d skipped in %v\n",
-		rep.Rounds, rep.Functions, rep.Errors, rep.Skipped, rep.Wall.Round(time.Millisecond))
-	err = srv.Stop(5 * time.Second)
-	if cerr := closeRec(); err == nil {
-		err = cerr
-	}
-	if ferr := out.Flush(); err == nil && ferr != nil {
-		err = fmt.Errorf("stdout: %w", ferr)
-	}
-	return err
 }

@@ -2,7 +2,7 @@
 // functions over HTTP, compiles them through the sharded worker pool
 // (internal/driver.ShardPool), and answers repeated inputs from the
 // content-addressed result cache (internal/cache) without running the
-// pipeline at all. The observability endpoints of cmd/coalesce -serve
+// pipeline at all. The observability endpoints of internal/obs/obshttp
 // (/metrics, /debug/vars, /trace, /debug/pprof) ride along on the same
 // listener, so a scraper watches cache hit rates and queue depths live.
 //
@@ -83,16 +83,9 @@ func realMain() error {
 	if err != nil {
 		return err
 	}
-	var fl ssa.Flavor
-	switch *flavorName {
-	case "pruned":
-		fl = ssa.Pruned
-	case "semi":
-		fl = ssa.SemiPruned
-	case "minimal":
-		fl = ssa.Minimal
-	default:
-		return fmt.Errorf("unknown -ssa flavor %q", *flavorName)
+	fl, err := ssa.ParseFlavor(*flavorName)
+	if err != nil {
+		return err
 	}
 	check, err := analysis.ParseLevel(*checkName)
 	if err != nil {

@@ -55,7 +55,7 @@ func realMain() (err error) {
 	solvers := flag.Bool("solvers", false, "run the substrate-solver crossover sweep instead (also a differential gate)")
 	pressure := flag.Bool("pressure", false, "run the register-pressure sweep instead (also a differential gate)")
 	ext := flag.Bool("ext", false, "run the optimizer-pipeline extension experiment instead")
-	alloc := flag.Int("alloc", 0, "run the register-allocation experiment with this many registers")
+	alloc := flag.Int("alloc", 0, "register count for -corpus: allocate every streamed function with this many registers (0 = no allocation)")
 	throughput := flag.Bool("throughput", false, "run the batch-compilation throughput study instead")
 	audit := flag.Bool("audit", false, "run the checker-overhead study instead")
 	traceOverhead := flag.Bool("traceoverhead", false, "run the observability-overhead study instead")
@@ -135,13 +135,6 @@ func realMain() (err error) {
 			return err
 		}
 		fmt.Println(bench.FormatTableExt(rows))
-		return nil
-	case *alloc > 0:
-		rows, err := bench.TableAlloc(bench.Workloads(), *alloc)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatTableAlloc(rows))
 		return nil
 	}
 
@@ -231,11 +224,11 @@ func runScaling() error {
 					best[algo] = r.PhaseDuration
 					switch algo {
 					case bench.New:
-						newAlgo = r.CoreStats.AlgoTime
+						newAlgo = r.Core.AlgoTime
 					case bench.Briggs:
-						matrixB = r.GraphStats.TotalMatrixBytes()
+						matrixB = r.Graph.TotalMatrixBytes()
 					case bench.BriggsStar:
-						matrixBStar = r.GraphStats.TotalMatrixBytes()
+						matrixBStar = r.Graph.TotalMatrixBytes()
 					}
 				}
 			}
@@ -268,7 +261,7 @@ func runScaling() error {
 		}
 		rb := bench.RunPipeline(f, bench.Briggs)
 		rs := bench.RunPipeline(f, bench.BriggsStar)
-		b, s := rb.GraphStats.TotalMatrixBytes(), rs.GraphStats.TotalMatrixBytes()
+		b, s := rb.Graph.TotalMatrixBytes(), rs.Graph.TotalMatrixBytes()
 		if s == 0 {
 			s = 1
 		}

@@ -241,19 +241,6 @@ func TestTableExtSmoke(t *testing.T) {
 	}
 }
 
-func TestTableAllocSmoke(t *testing.T) {
-	rows, err := TableAlloc(Workloads()[:4], 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	if out := FormatTableAlloc(rows); !strings.Contains(out, "K=6") {
-		t.Fatalf("bad format:\n%s", out)
-	}
-}
-
 func TestBriggsVariantsIdenticalOnFuzzCorpus(t *testing.T) {
 	// §4.1's claim is exact equality of results, not similarity: over the
 	// fuzz corpus the classical and improved coalescers must leave the

@@ -106,9 +106,7 @@ func coldEntries(w Workload, f *ir.Func, repeat int) []BenchEntry {
 				e.AllocsPerOp = float64(r.AllocObjects)
 			}
 			e.CopiesPerOp = float64(r.StaticCopies)
-			if r.GraphStats != nil {
-				e.MatrixBPerOp = float64(r.GraphStats.TotalMatrixBytes())
-			}
+			e.MatrixBPerOp = float64(r.Graph.TotalMatrixBytes()) // 0 outside Briggs/Briggs*
 		}
 		out = append(out, e)
 	}
@@ -254,7 +252,7 @@ func scalingEntries() ([]ScalingEntry, error) {
 				if d, ok := best[algo]; !ok || r.PhaseDuration < d {
 					best[algo] = r.PhaseDuration
 					if algo == New {
-						newAlgo = r.CoreStats.AlgoTime
+						newAlgo = r.Core.AlgoTime
 					}
 				}
 			}
@@ -285,7 +283,7 @@ func scalingEntries() ([]ScalingEntry, error) {
 					if d, ok := best[algo]; !ok || r.PhaseDuration < d {
 						best[algo] = r.PhaseDuration
 						if algo == New {
-							newAlgo = r.CoreStats.AlgoTime
+							newAlgo = r.Core.AlgoTime
 						}
 					}
 				}

@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"time"
 
-	"fastcoalesce/internal/core"
 	"fastcoalesce/internal/driver"
-	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
@@ -44,47 +42,38 @@ type PipelineResult struct {
 	AllocObjects  int64 // heap objects allocated over the same span
 	StaticCopies  int
 	SSAStats      *ssa.Stats
-	CoreStats     *core.Stats            // New only
-	GraphStats    *ifgraph.CoalesceStats // Briggs/Briggs* only
+
+	// DestructStats holds the destruction step's stats: Core for New,
+	// Graph for Briggs and Briggs*, Standard for Standard.
+	driver.DestructStats
 }
 
-// RunPipeline compiles a clone of f with the chosen pipeline. Following
-// the paper, the clock starts immediately before SSA construction and
-// stops after the code is rewritten (§4.2); allocation is measured over
-// the same span.
+// RunPipeline compiles a clone of f with the chosen pipeline — the
+// driver's BuildSSA and Destruct, cold (nil scratch) with pruned SSA and
+// the default solvers. Following the paper, the clock starts immediately
+// before SSA construction and stops after the code is rewritten (§4.2);
+// allocation is measured over the same span. It panics on input the
+// pipeline rejects (φ-form under the Briggs pipelines); the experiments
+// only feed it φ-free functions.
 func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {
 	g := f.Clone()
 	res := &PipelineResult{Algo: algo}
+	cfg := driver.Config{Algo: algo}
 
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 
-	switch algo {
-	case Standard:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: true})
-		p0 := time.Now()
-		ssa.DestructStandard(g)
-		res.PhaseDuration = time.Since(p0)
-	case New:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: true})
-		p0 := time.Now()
-		res.CoreStats = core.Coalesce(g, core.Options{Dom: res.SSAStats.Dom})
-		res.PhaseDuration = time.Since(p0)
-	case Briggs, BriggsStar:
-		res.SSAStats = ssa.Build(g, ssa.Options{Flavor: ssa.Pruned, FoldCopies: false})
-		p0 := time.Now()
-		ifgraph.JoinPhiWebs(g)
-		// JoinPhiWebs only renames instructions; the CFG is unchanged
-		// since the SSA build, so its dominator tree serves the loop-depth
-		// query — recomputing here would double the dominator work.
-		depth := res.SSAStats.Dom.FindLoops().Depth
-		res.GraphStats = ifgraph.Coalesce(g, ifgraph.Options{
-			Improved: algo == BriggsStar,
-			Depth:    depth,
-		})
-		res.PhaseDuration = time.Since(p0)
+	st, err := driver.BuildSSA(g, cfg, nil)
+	if err != nil {
+		panic(err)
 	}
+	p0 := time.Now()
+	ds, err := driver.Destruct(g, st, cfg, nil)
+	if err != nil {
+		panic(err)
+	}
+	res.PhaseDuration = time.Since(p0)
 
 	res.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
@@ -92,6 +81,8 @@ func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {
 	res.AllocObjects = int64(ms1.Mallocs - ms0.Mallocs)
 	res.Func = g
 	res.StaticCopies = g.CountCopies()
+	res.SSAStats = st
+	res.DestructStats = ds
 	return res
 }
 

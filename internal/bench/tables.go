@@ -40,8 +40,8 @@ func Table1(ws []Workload, repeat int) ([]Table1Row, error) {
 			Name:         w.Name,
 			BriggsTime:   rb.Duration,
 			StarTime:     rs.Duration,
-			BriggsPasses: len(rb.GraphStats.Passes),
-			StarPasses:   len(rs.GraphStats.Passes),
+			BriggsPasses: len(rb.Graph.Passes),
+			StarPasses:   len(rs.Graph.Passes),
 		}
 		row.BriggsPass1, row.BriggsPass2 = passBytes(rb)
 		row.StarPass1, row.StarPass2 = passBytes(rs)
@@ -55,7 +55,7 @@ func Table1(ws []Workload, repeat int) ([]Table1Row, error) {
 }
 
 func passBytes(r *PipelineResult) (p1, p2 int64) {
-	ps := r.GraphStats.Passes
+	ps := r.Graph.Passes
 	if len(ps) > 0 {
 		p1 = ps[0].MatrixBytes
 	}

@@ -18,8 +18,8 @@
 //
 // Observability is opt-in through Config.Obs (internal/obs): each worker
 // carries a phase tracer next to its Scratch, batch counters stream into
-// the recorder's registry as jobs finish, and Serve keeps the whole
-// engine running as a service a scraper can watch. With Obs nil the
+// the recorder's registry as jobs finish, and ShardPool keeps the engine
+// running as a service a scraper can watch. With Obs nil the
 // instrumentation vanishes — nil tracers and nil instruments are free
 // no-ops, and the compiled output is byte-identical either way.
 package driver
@@ -34,14 +34,11 @@ import (
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/core"
 	"fastcoalesce/internal/dom"
-	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
-	"fastcoalesce/internal/regalloc"
 	"fastcoalesce/internal/ssa"
 )
 
@@ -205,7 +202,7 @@ type Config struct {
 	// output, K joins the cache fingerprint.
 	RegallocK int
 
-	// fp is the cache fingerprint, resolved once per run (runScratches,
+	// fp is the cache fingerprint, resolved once per run (runStream,
 	// ShardPool) so the hot path never rebuilds the string.
 	fp string
 }
@@ -236,7 +233,23 @@ func Run(jobs []Job, cfg Config) ([]Result, *Snapshot) {
 // as Result{Skipped: true} with the context's error, and RunCtx still
 // returns the full result slice and Snapshot.
 func RunCtx(ctx context.Context, jobs []Job, cfg Config) ([]Result, *Snapshot) {
-	return runScratches(ctx, jobs, cfg, newScratches(cfg, workerCount(cfg, len(jobs))))
+	// The batch is the streaming engine over a SliceSource with the
+	// original claim discipline (one job per atomic claim, no stealing),
+	// collected into the positional slice. DrainSource keeps the
+	// cancellation contract: every never-claimed job comes back stamped
+	// Skipped with the context's cause.
+	scs := newScratches(cfg, workerCount(cfg, len(jobs)))
+	results := make([]Result, len(jobs))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	runStream(ctx, NewSliceSource(jobs), cfg,
+		StreamOptions{Chunk: 1, NoSteal: true, DrainSource: true},
+		sliceReducer(results), scs)
+	wall := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	snap := summarize(results, cfg.Algo, len(scs), wall, int64(ms1.TotalAlloc-ms0.TotalAlloc), cfg.RegallocK)
+	return results, snap
 }
 
 // workerCount resolves the pool size: Config.Workers, defaulting to
@@ -256,8 +269,7 @@ func workerCount(cfg Config, njobs int) int {
 }
 
 // newScratches builds one Scratch per worker, each with its own tracer
-// when cfg.Obs is live. Serve reuses one set across rounds so long
-// sessions neither re-warm scratches nor accumulate tracer rings.
+// when cfg.Obs is live.
 func newScratches(cfg Config, workers int) []*Scratch {
 	scs := make([]*Scratch, workers)
 	for i := range scs {
@@ -272,26 +284,6 @@ func newScratches(cfg Config, workers int) []*Scratch {
 type sliceReducer []Result
 
 func (s sliceReducer) Reduce(r *Result) { s[r.Index] = *r }
-
-// runScratches is the batch adapter behind RunCtx and Serve: it feeds
-// the jobs through the streaming engine as a SliceSource with the
-// original claim discipline (one job per atomic claim, no stealing) and
-// collects results into the positional slice. DrainSource keeps the
-// cancellation contract: every never-claimed job comes back stamped
-// Skipped with the context's cause.
-func runScratches(ctx context.Context, jobs []Job, cfg Config, scs []*Scratch) ([]Result, *Snapshot) {
-	results := make([]Result, len(jobs))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	runStream(ctx, NewSliceSource(jobs), cfg,
-		StreamOptions{Chunk: 1, NoSteal: true, DrainSource: true},
-		sliceReducer(results), scs)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	snap := summarize(results, cfg.Algo, len(scs), wall, int64(ms1.TotalAlloc-ms0.TotalAlloc), cfg.RegallocK)
-	return results, snap
-}
 
 // compileOne runs one job through the configured pipeline on the
 // worker's scratch. The scratch also carries the worker's tracer; with
@@ -374,24 +366,11 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 		}
 	}
 
-	fold := cfg.Algo == Standard || cfg.Algo == New
 	t1 := time.Now()
-	var st *ssa.Stats
-	if f.CountPhis() > 0 {
-		// Already in SSA form (hand-written .ir input): skip construction,
-		// just prepare for destruction, as cmd/coalesce does.
-		if !fold {
-			res.Err = fmt.Errorf("%s: %v rebuilds SSA without folding and cannot take SSA-form input", res.Name, cfg.Algo)
-			return res
-		}
-		f.SplitCriticalEdges()
-		st = &ssa.Stats{}
-	} else {
-		st = ssa.Build(f, ssa.Options{
-			Flavor: cfg.Flavor, FoldCopies: fold,
-			DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
-			Scratch: sc.ssaScratch(), Obs: tr,
-		})
+	st, err := BuildSSA(f, cfg, sc)
+	if err != nil {
+		res.Err = fmt.Errorf("%s: %w", res.Name, err)
+		return res
 	}
 	m.Build = time.Since(t1)
 	m.PhisInserted = st.PhisInserted
@@ -406,55 +385,20 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 	if cfg.Check != analysis.None {
 		ssaSnap = f.Clone()
 	}
-	var nameMap []ir.VarID
 
 	t2 := time.Now()
-	switch cfg.Algo {
-	case Standard:
-		tr.Begin(obs.PhasePhiInstantiate)
-		ds := ssa.DestructStandard(f)
-		tr.End(obs.PhasePhiInstantiate)
-		m.CopiesInserted = ds.CopiesInserted
-		// Standard never renames: the identity map (nil) is correct.
-	case New:
-		opt := core.Options{
-			Dom: st.Dom, RecordNameMap: cfg.Check != analysis.None, Obs: tr,
-			DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
-		}
-		var cs *core.Stats
-		if csc := sc.coreScratch(); csc != nil {
-			cs = core.CoalesceScratch(f, opt, csc)
-		} else {
-			cs = core.Coalesce(f, opt)
-		}
-		m.CopiesInserted = cs.CopiesInserted
-		m.CopiesCoalesced = cs.InitialUnions
-		m.LivenessVisits += cs.LivenessVisits
-		m.DomRecomputes += cs.DomRecomputes
-		nameMap = cs.NameMap
-	case Briggs, BriggsStar:
-		joinMap := ifgraph.JoinPhiWebs(f)
-		// JoinPhiWebs only renames; the CFG is unchanged since the SSA
-		// build, so its dominator tree serves the loop-depth query.
-		depth := st.Dom.FindLoops().Depth
-		gs := ifgraph.Coalesce(f, ifgraph.Options{
-			Improved:      cfg.Algo == BriggsStar,
-			Depth:         depth,
-			RecordNameMap: cfg.Check != analysis.None,
-		})
-		m.CopiesCoalesced = gs.CopiesCoalesced
-		if cfg.Check != analysis.None {
-			// Compose the two renamings: SSA name → φ-web rep → final name.
-			nameMap = joinMap
-			for v := range nameMap {
-				nameMap[v] = gs.NameMap[nameMap[v]]
-			}
-		}
-	default:
-		res.Err = fmt.Errorf("driver: unknown algorithm %v", cfg.Algo)
+	ds, err := Destruct(f, st, cfg, sc)
+	if err != nil {
+		res.Err = err
 		return res
 	}
 	m.Destruct = time.Since(t2)
+	// Only the pipeline that ran filled its stats, so the sums below
+	// pick out its counts.
+	m.CopiesInserted = ds.Standard.CopiesInserted + ds.Core.CopiesInserted
+	m.CopiesCoalesced = ds.Core.InitialUnions + ds.Graph.CopiesCoalesced
+	m.LivenessVisits += ds.Core.LivenessVisits
+	m.DomRecomputes += ds.Core.DomRecomputes
 	m.StaticCopies = f.CountCopies()
 
 	tr.Begin(obs.PhaseVerify)
@@ -476,30 +420,16 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			preAlloc = f.Clone()
 		}
 		t := time.Now()
-		ra, raErr := regalloc.AllocateScratch(f, regalloc.Options{
-			K: cfg.RegallocK, DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver, Obs: tr,
-		}, sc.regallocScratch())
-		if raErr != nil {
-			if ra != nil {
-				m.Spills, m.Reloads = ra.SpilledVars, ra.Reloads
-				m.RegallocRounds, m.ColorsUsed = ra.Rounds, ra.ColorsUsed
-			}
-			res.Err = fmt.Errorf("%s: regalloc k=%d: %w", res.Name, cfg.RegallocK, raErr)
-			return res
+		ra, err := Allocate(f, cfg, sc)
+		if ra != nil {
+			m.Spills, m.Reloads = ra.SpilledVars, ra.Reloads
+			m.RegallocRounds, m.ColorsUsed = ra.Rounds, ra.ColorsUsed
 		}
-		tr.Begin(obs.PhaseRegallocVerify)
-		err = regalloc.VerifyAllocation(f, ra.Colors, cfg.RegallocK)
-		if err == nil {
-			err = f.Verify()
-		}
-		tr.End(obs.PhaseRegallocVerify)
 		if err != nil {
-			res.Err = fmt.Errorf("%s: regalloc k=%d verify: %w", res.Name, cfg.RegallocK, err)
+			res.Err = fmt.Errorf("%s: %w", res.Name, err)
 			return res
 		}
 		m.Regalloc = time.Since(t)
-		m.Spills, m.Reloads = ra.SpilledVars, ra.Reloads
-		m.RegallocRounds, m.ColorsUsed = ra.Rounds, ra.ColorsUsed
 		m.MaxPressure = ra.MaxPressure
 	}
 	res.Func = f
@@ -542,7 +472,7 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			Algo:    cfg.Algo.String(),
 			SSA:     ssaSnap,
 			Out:     out,
-			NameMap: nameMap,
+			NameMap: ds.NameMap,
 		}
 		res.Report = analysis.RunAll(unit, cfg.Check)
 		tr.End(obs.PhaseCheck)

@@ -160,59 +160,3 @@ func TestRunCtxDrain(t *testing.T) {
 		}
 	})
 }
-
-// TestServeRounds runs the service loop for a fixed number of rounds and
-// checks round accounting, per-round generations, and warm reuse of the
-// recorder's tracer set (no per-round tracer growth).
-func TestServeRounds(t *testing.T) {
-	jobs := kernelJobs(t)
-	rec := obs.NewRecorder(obs.Options{})
-	var snaps []*driver.Snapshot
-	rep := driver.Serve(context.Background(), jobs,
-		driver.Config{Algo: driver.New, Workers: 2, Obs: rec},
-		driver.ServeOptions{Rounds: 3, OnRound: func(round int, snap *driver.Snapshot) {
-			snaps = append(snaps, snap)
-		}})
-	if rep.Rounds != 3 || len(snaps) != 3 {
-		t.Fatalf("rounds = %d (callbacks %d), want 3", rep.Rounds, len(snaps))
-	}
-	if want := int64(3 * len(jobs)); rep.Functions != want || rep.Errors != 0 {
-		t.Fatalf("functions = %d errors = %d, want %d and 0", rep.Functions, rep.Errors, want)
-	}
-	if rec.Gen() != 3 {
-		t.Errorf("recorder generation %d after 3 rounds, want 3", rec.Gen())
-	}
-	// Worker tracers are created once and reused: job counts per
-	// generation stay equal, and distinct worker ids stay bounded by the
-	// pool size.
-	workers := map[int32]bool{}
-	for _, e := range rec.Events() {
-		if e.Phase == obs.PhaseJob {
-			workers[e.Worker] = true
-		}
-	}
-	if len(workers) > 2 {
-		t.Errorf("%d distinct tracer ids across rounds, want <= worker count 2", len(workers))
-	}
-}
-
-// TestServeCancelStopsBetweenRounds cancels the context from inside a
-// round callback and checks the loop exits without starting another
-// round.
-func TestServeCancelStopsBetweenRounds(t *testing.T) {
-	jobs := kernelJobs(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	rep := driver.Serve(ctx, jobs,
-		driver.Config{Algo: driver.New, Workers: 2},
-		driver.ServeOptions{OnRound: func(round int, snap *driver.Snapshot) {
-			if round == 2 {
-				cancel()
-			}
-		}})
-	if rep.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2 (cancelled during the second)", rep.Rounds)
-	}
-	if rep.Skipped != 0 {
-		t.Errorf("%d jobs skipped; cancel between rounds should drain cleanly", rep.Skipped)
-	}
-}

@@ -17,9 +17,9 @@ import (
 // generator that synthesizes them on demand, a disk spool, or a plain
 // slice — and a Reducer folds each Result as it is produced, so the
 // engine's footprint is O(workers · chunk) no matter how many functions
-// flow through. RunCtx and Serve are thin adapters over RunStream
-// (SliceSource + a reducer that writes the familiar results slice), so
-// both paths share one scheduler.
+// flow through. RunCtx is a thin adapter over RunStream (SliceSource +
+// a reducer that writes the familiar results slice), so both paths
+// share one scheduler.
 //
 // Scheduling: each worker owns a deque of pulled-but-unstarted jobs. It
 // pops from the front; when empty it pulls the next chunk from the
@@ -204,8 +204,8 @@ func RunStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 	return runStream(ctx, src, cfg, opt, red, newScratches(cfg, workers))
 }
 
-// runStream is RunStream over caller-owned scratches (the slice adapter
-// threads Serve's warm pool through here).
+// runStream is RunStream over caller-built scratches, one per worker
+// (the batch adapter builds them outside its allocation measurement).
 func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions, red Reducer, scs []*Scratch) *StreamReport {
 	workers := len(scs)
 	chunk := opt.Chunk

@@ -15,8 +15,7 @@ import (
 // the usual failure mode of a README rewrite — a flag is renamed in code
 // and the transcript keeps advertising the old name.
 //
-// This is the check that used to live in internal/obs/docscheck; the
-// docscheck command now delegates here. Flag sets are recovered by
+// cmd/fclint runs it alongside the analyzers. Flag sets are recovered by
 // scanning cmd/<name>/main.go for flag.String/Bool/... declarations,
 // which is exactly how the binaries define them — no binary is built.
 // Commands whose main.go does not exist under root are skipped, so the

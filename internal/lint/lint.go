@@ -25,11 +25,8 @@
 // the construct is intentional — typically a deliberately cold path
 // inside an annotated function.
 //
-// The doc-transcript flag check that used to live in
-// internal/obs/docscheck is absorbed here as DocFlags; the docscheck
-// command delegates to it.
-//
-// cmd/fclint is the command-line driver.
+// cmd/fclint is the command-line driver; it also runs DocFlags, the
+// doc-transcript flag check.
 package lint
 
 import (

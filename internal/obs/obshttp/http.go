@@ -8,7 +8,7 @@
 //
 // It lives in a subpackage so that instrumented compiler passes can
 // import the lightweight obs package without pulling net/http into every
-// binary; only the serving front ends (cmd/coalesce -serve) link this.
+// binary; only the serving front end (cmd/coalesced) links this.
 //
 // Handlers are safe while a batch is running: the registry reads are
 // atomic and the event snapshot locks each worker ring briefly.

@@ -43,6 +43,19 @@ func (fl Flavor) String() string {
 	return fmt.Sprintf("flavor(%d)", int(fl))
 }
 
+// ParseFlavor parses a -ssa flag value; String's spellings parse too.
+func ParseFlavor(s string) (Flavor, error) {
+	switch s {
+	case "pruned":
+		return Pruned, nil
+	case "semi", "semi-pruned":
+		return SemiPruned, nil
+	case "minimal":
+		return Minimal, nil
+	}
+	return Pruned, fmt.Errorf("unknown SSA flavor %q (want pruned, semi, or minimal)", s)
+}
+
 // Options configures Build.
 type Options struct {
 	Flavor     Flavor

@@ -308,3 +308,22 @@ func TestSemiPrunedGlobalsOnly(t *testing.T) {
 		t.Fatalf("no φ for the global u:\n%s", g)
 	}
 }
+
+func TestParseFlavor(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Flavor
+	}{{"pruned", Pruned}, {"semi", SemiPruned}, {"minimal", Minimal}} {
+		got, err := ParseFlavor(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseFlavor(%q) = %v, %v", tc.in, got, err)
+		}
+		// String's spelling round-trips.
+		if back, err := ParseFlavor(got.String()); err != nil || back != got {
+			t.Errorf("ParseFlavor(%q) = %v, %v", got.String(), back, err)
+		}
+	}
+	if _, err := ParseFlavor("maximal"); err == nil {
+		t.Error("ParseFlavor accepted junk")
+	}
+}
