@@ -433,7 +433,11 @@ func (u *Unit) buildInterference() (*interGraph, *unionfind.UF) {
 	g := newInterGraph(nv)
 	cur := bitset.New(nv)
 	for _, b := range f.Blocks {
-		cur.CopyFrom(live.Out[b.ID])
+		cur.Clear()
+		it := live.LiveOutNames(b.ID)
+		for v, ok := it.Next(); ok; v, ok = it.Next() {
+			cur.Add(int(v))
+		}
 		nphi := b.NumPhis()
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]

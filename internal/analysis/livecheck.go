@@ -38,8 +38,9 @@ func (livenessPass) Run(u *Unit, rep *Report) {
 
 // CrossCheckLiveness recomputes liveness for f one variable at a time and
 // returns a diagnostic for every reachable block whose live-in or
-// live-out membership disagrees with info. It is exported so tests can
-// feed it a deliberately corrupted Info. Unreachable blocks are not
+// live-out membership disagrees with info, querying info for every name
+// (block-local ones included). It is exported so tests can feed it a
+// deliberately wrong Info. Unreachable blocks are not
 // compared: the iterative analysis leaves them empty by construction,
 // while a use inside one genuinely propagates among unreachable blocks.
 func CrossCheckLiveness(u *Unit, f *ir.Func, info *liveness.Info) []Diag {
@@ -61,17 +62,18 @@ func CrossCheckLiveness(u *Unit, f *ir.Func, info *liveness.Info) []Diag {
 		if !reach.Has(bi) {
 			continue
 		}
-		for v := 0; v < f.NumVars(); v++ {
-			iterIn, naivIn := info.In[bi].Has(v), naiveIn[bi].Has(v)
+		b := ir.BlockID(bi)
+		for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+			iterIn, naivIn := info.LiveIn(b, v), naiveIn[bi].Has(int(v))
 			if iterIn != naivIn {
-				diags = append(diags, u.diag("liveness-crosscheck", ir.BlockID(bi), -1,
-					[]ir.VarID{ir.VarID(v)}, "",
+				diags = append(diags, u.diag("liveness-crosscheck", b, -1,
+					[]ir.VarID{v}, "",
 					fmt.Sprintf("live-in disagreement: iterative=%v naive=%v", iterIn, naivIn)))
 			}
-			iterOut, naivOut := info.Out[bi].Has(v), naiveOut[bi].Has(v)
+			iterOut, naivOut := info.LiveOut(b, v), naiveOut[bi].Has(int(v))
 			if iterOut != naivOut {
-				diags = append(diags, u.diag("liveness-crosscheck", ir.BlockID(bi), -1,
-					[]ir.VarID{ir.VarID(v)}, "",
+				diags = append(diags, u.diag("liveness-crosscheck", b, -1,
+					[]ir.VarID{v}, "",
 					fmt.Sprintf("live-out disagreement: iterative=%v naive=%v", iterOut, naivOut)))
 			}
 		}

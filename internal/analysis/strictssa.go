@@ -102,10 +102,12 @@ func (strictSSAPass) Run(u *Unit, rep *Report) {
 	// Entry-block liveness: strictness means live-in(b0) is empty after
 	// the restricted initializations. The iterative result is checked
 	// here; LivenessCrossCheck validates that result independently.
-	entryIn := u.liveInfo().In[f.Entry]
-	if !entryIn.Empty() {
-		var vars []ir.VarID
-		entryIn.ForEach(func(v int) { vars = append(vars, ir.VarID(v)) })
+	var vars []ir.VarID
+	it := u.liveInfo().LiveInNames(f.Entry)
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		vars = append(vars, v)
+	}
+	if len(vars) > 0 {
 		rep.Diags = append(rep.Diags, u.diag("strict-ssa", f.Entry, -1, vars, "",
 			"variables live into the entry block (strictness not enforced)"))
 	}

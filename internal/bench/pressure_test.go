@@ -88,7 +88,7 @@ func TestPressureFamilyPins(t *testing.T) {
 		// closure-ladder/Standard dropped 386 -> 385 when a spill-table
 		// growth bug (stamps lost on reallocation, letting color re-spill
 		// already-spilled ranges) was fixed in regalloc.Scratch.
-		"closure-ladder":  {"Standard": 385, "New": 133, "Briggs": 162, "Briggs*": 162},
+		"closure-ladder": {"Standard": 385, "New": 133, "Briggs": 162, "Briggs*": 162},
 	}
 	for _, fam := range Families() {
 		f := fam.Build(famPressureSize)

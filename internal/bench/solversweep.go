@@ -75,14 +75,29 @@ func solverPoint(family string, size int, f *ir.Func) (SolverEntry, error) {
 	var scW, scS liveness.Scratch
 	lw := liveness.ComputeWith(f, &scW, liveness.Worklist)
 	ls := liveness.ComputeWith(f, &scS, liveness.Sparse)
-	for b := range f.Blocks {
-		if !lw.In[b].Equal(ls.In[b]) || !lw.Out[b].Equal(ls.Out[b]) {
-			return e, fmt.Errorf("%s/%d: live sets differ at b%d", family, size, b)
+	for _, b := range f.Blocks {
+		if !sameNames(lw.LiveInNames(b.ID), ls.LiveInNames(b.ID)) ||
+			!sameNames(lw.LiveOutNames(b.ID), ls.LiveOutNames(b.ID)) {
+			return e, fmt.Errorf("%s/%d: live sets differ at b%d", family, size, b.ID)
 		}
 	}
 	e.WorklistNs = timeBest(3, iters, func() { liveness.ComputeWith(f, &scW, liveness.Worklist) })
 	e.SparseNs = timeBest(3, iters, func() { liveness.ComputeWith(f, &scS, liveness.Sparse) })
 	return e, nil
+}
+
+// sameNames reports whether two live-set iterators yield the same names.
+func sameNames(x, y liveness.Names) bool {
+	for {
+		u, okx := x.Next()
+		v, oky := y.Next()
+		if okx != oky || u != v {
+			return false
+		}
+		if !okx {
+			return true
+		}
+	}
 }
 
 // RunSolverSweep measures every family at every sweep size. The error

@@ -69,10 +69,8 @@ func TestWorklistVsRoundRobinCorpus(t *testing.T) {
 	for label, f := range corpusFuncs(t) {
 		wl := liveness.ComputeScratch(f, &wsc)
 		rr := liveness.ComputeRoundRobinScratch(f, &rsc)
-		for b := range f.Blocks {
-			if !wl.In[b].Equal(rr.In[b]) || !wl.Out[b].Equal(rr.Out[b]) {
-				t.Fatalf("%s: solvers disagree at b%d\n%s", label, b, f)
-			}
+		if b := firstDiff(f, wl, rr); b != ir.NoBlock {
+			t.Fatalf("%s: solvers disagree at b%d\n%s", label, b, f)
 		}
 	}
 }
@@ -82,10 +80,21 @@ func TestSparseVsWorklistCorpus(t *testing.T) {
 	for label, f := range corpusFuncs(t) {
 		sp := liveness.ComputeSparseScratch(f, &ssc)
 		wl := liveness.ComputeScratch(f, &wsc)
-		for b := range f.Blocks {
-			if !sp.In[b].Equal(wl.In[b]) || !sp.Out[b].Equal(wl.Out[b]) {
-				t.Fatalf("%s: sparse and worklist disagree at b%d\n%s", label, b, f)
+		if b := firstDiff(f, sp, wl); b != ir.NoBlock {
+			t.Fatalf("%s: sparse and worklist disagree at b%d\n%s", label, b, f)
+		}
+	}
+}
+
+// firstDiff returns the first block at which x and y disagree on whether
+// some name is live in or out, or ir.NoBlock if they agree on every name.
+func firstDiff(f *ir.Func, x, y *liveness.Info) ir.BlockID {
+	for _, b := range f.Blocks {
+		for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+			if x.LiveIn(b.ID, v) != y.LiveIn(b.ID, v) || x.LiveOut(b.ID, v) != y.LiveOut(b.ID, v) {
+				return b.ID
 			}
 		}
 	}
+	return ir.NoBlock
 }

@@ -22,14 +22,15 @@ func assertSameInfo(t *testing.T, f *ir.Func, label string) {
 	wl := ComputeScratch(f, &wsc)
 	rr := ComputeRoundRobinScratch(f, &rsc)
 	for b := range f.Blocks {
-		for v := 0; v < f.NumVars(); v++ {
-			if wl.In[b].Has(v) != rr.In[b].Has(v) {
+		bid := ir.BlockID(b)
+		for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+			if wl.LiveIn(bid, v) != rr.LiveIn(bid, v) {
 				t.Fatalf("%s: LiveIn(b%d, %s): worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), wl.In[b].Has(v), rr.In[b].Has(v), f)
+					label, b, f.VarName(v), wl.LiveIn(bid, v), rr.LiveIn(bid, v), f)
 			}
-			if wl.Out[b].Has(v) != rr.Out[b].Has(v) {
+			if wl.LiveOut(bid, v) != rr.LiveOut(bid, v) {
 				t.Fatalf("%s: LiveOut(b%d, %s): worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), wl.Out[b].Has(v), rr.Out[b].Has(v), f)
+					label, b, f.VarName(v), wl.LiveOut(bid, v), rr.LiveOut(bid, v), f)
 			}
 		}
 	}
@@ -106,7 +107,7 @@ func TestWorklistVsRoundRobinUnreachable(t *testing.T) {
 		for b := range f.Blocks {
 			if sc.state[b] == 0 {
 				sawUnreachable = true
-				if !li.In[b].Empty() || !li.Out[b].Empty() {
+				if !li.in[b].Empty() || !li.out[b].Empty() {
 					t.Fatalf("trial %d: unreachable b%d has non-empty sets\n%s", trial, b, f)
 				}
 			}

@@ -11,6 +11,19 @@
 //
 // The same code handles non-SSA programs (no φ-nodes present).
 //
+// Only global names get a bit. A name is global when it is upward-exposed
+// in some block (used before any definition there) or used as a φ
+// argument — semi-pruned SSA's "global names" (Briggs et al.). Every
+// other name is defined before each of its uses inside one block, so it
+// is in no live-in or live-out set of the least fixpoint, and LiveIn and
+// LiveOut answer false for it exactly. The sets are therefore as wide as
+// the global names, not as all names: the compact-numbering device of
+// Briggs* (§4.1) applied to the live sets, and the sparse-analysis idea
+// of tracking only variables whose facts can be nonempty (Tavares et al.,
+// arXiv 1403.5952). Bits are numbered in increasing VarID order, so
+// iterating a set (LiveInNames, LiveOutNames) yields names in VarID
+// order.
+//
 // Three solvers compute the same (unique) least fixpoint:
 //
 //   - the default predecessor-driven worklist solver (ComputeScratch):
@@ -27,17 +40,18 @@
 //     uses, doing work proportional to the answer instead of to whole-CFG
 //     bitset sweeps — the winner on large CFGs with many short ranges.
 //
-// Blocks unreachable from the entry keep empty sets under both solvers.
+// Blocks unreachable from the entry keep empty sets under every solver.
 //
 // Concurrency: an Info is immutable once returned and safe for concurrent
 // readers. A Scratch is a single-goroutine arena; ComputeScratch recycles
-// it, so the Info it returns (and every bit set inside) is valid only
-// until the next Compute*Scratch call with the same Scratch. The batch
-// driver keeps one Scratch per worker.
+// it, so the Info it returns is valid only until the next
+// Compute*Scratch call with the same Scratch. The batch driver keeps one
+// Scratch per worker.
 package liveness
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
@@ -96,15 +110,19 @@ func ComputeWith(f *ir.Func, sc *Scratch, solver Solver) *Info {
 	return ComputeScratch(f, sc)
 }
 
-// Info holds per-block live sets over VarIDs.
+// Info holds the per-block live sets of one function. Query it with
+// LiveIn/LiveOut, or walk a block's set with LiveInNames/LiveOutNames.
 type Info struct {
-	In  []bitset.Set // In[b]: live at block entry (after φ defs, excl. φ uses)
-	Out []bitset.Set // Out[b]: live at block exit (incl. φ args flowing out of b)
+	in    []bitset.Set // in[b]: live at block entry (after φ defs, excl. φ uses)
+	out   []bitset.Set // out[b]: live at block exit (incl. φ args flowing out of b)
+	bit   []int32      // VarID -> bit in the sets, or -1 for a non-global name
+	names []ir.VarID   // bit -> VarID, increasing
 }
 
 // Scratch holds the reusable state of one liveness computation: the live
-// sets themselves (arena-backed), the traversal worklists, and the
-// epoch-stamped queue membership marks. The zero value is ready to use.
+// sets themselves (arena-backed), the name-to-bit table, the traversal
+// worklists, and the epoch-stamped queue membership marks. The zero value
+// is ready to use.
 //
 // The queued marks use the generation-stamp idiom: instead of clearing a
 // per-block boolean array between runs, each run bumps epoch and a block
@@ -124,7 +142,7 @@ type Scratch struct {
 	queued []uint32 // fc:stamp epoch
 	epoch  uint32   // fc:epoch
 
-	pairs []varBlock // sparse solver's (variable, block) work stack
+	pairs []varBlock // sparse solver's (bit, block) work stack
 
 	stats Stats
 }
@@ -158,7 +176,6 @@ func Compute(f *ir.Func) *Info {
 // fc:hotpath
 func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 	li, order := sc.prepare(f)
-	nv := f.NumVars()
 
 	// The φ contribution to Out is static: argument i of a φ in block s
 	// is live-out of s's i-th predecessor no matter what the fixpoint
@@ -175,7 +192,7 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 			for pi, a := range in.Args {
 				p := b.Preds[pi]
 				if sc.state[p] != 0 {
-					li.Out[p].Add(int(a))
+					li.out[p].Add(int(li.bit[a]))
 				}
 			}
 		}
@@ -206,7 +223,7 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 	}
 
 	sc.stats = Stats{Blocks: len(order)}
-	tmp := sc.arena.New(nv)
+	tmp := sc.arena.New(len(li.names))
 	for head != tail {
 		sc.stats.Visits++
 		bid := queue[head]
@@ -216,16 +233,16 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 		}
 		queued[bid] = epoch - 1 // dequeued; may be re-queued later
 		b := f.Blocks[bid]
-		out := li.Out[bid]
+		out := li.out[bid]
 		for _, s := range b.Succs {
-			out.Or(li.In[s])
+			out.Or(li.in[s])
 		}
 		// In = UEVar ∪ (Out \ Def); if it grew, the predecessors' Out
 		// sets are stale and they must be revisited.
 		tmp.CopyFrom(out)
 		tmp.AndNot(sc.defs[bid])
 		tmp.Or(sc.ueVar[bid])
-		if li.In[bid].Or(tmp) {
+		if li.in[bid].Or(tmp) {
 			for _, p := range b.Preds {
 				if sc.state[p] != 0 && queued[p] != epoch {
 					queued[p] = epoch
@@ -251,18 +268,17 @@ func ComputeRoundRobin(f *ir.Func) *Info {
 // same fixpoint as ComputeScratch and is kept as the differential oracle.
 func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 	li, order := sc.prepare(f)
-	nv := f.NumVars()
 	sc.stats = Stats{Blocks: len(order)}
-	tmp := sc.arena.New(nv)
+	tmp := sc.arena.New(len(li.names))
 	for changed := true; changed; {
 		changed = false
 		for _, bid := range order {
 			sc.stats.Visits++
 			bi := int(bid)
 			b := f.Blocks[bi]
-			out := li.Out[bi]
+			out := li.out[bi]
 			for _, s := range b.Succs {
-				if out.Or(li.In[s]) {
+				if out.Or(li.in[s]) {
 					changed = true
 				}
 				// φ args flowing along the edge b->s. A block can appear
@@ -278,7 +294,7 @@ func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 						if in.Op != ir.OpPhi {
 							break
 						}
-						a := int(in.Args[pi])
+						a := int(li.bit[in.Args[pi]])
 						if !out.Has(a) {
 							out.Add(a)
 							changed = true
@@ -290,7 +306,7 @@ func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 			tmp.CopyFrom(out)
 			tmp.AndNot(sc.defs[bi])
 			tmp.Or(sc.ueVar[bi])
-			if li.In[bi].Or(tmp) {
+			if li.in[bi].Or(tmp) {
 				changed = true
 			}
 		}
@@ -298,44 +314,91 @@ func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 	return li
 }
 
-// prepare resets sc for f and computes the block-local sets shared by
-// both solvers: empty In/Out, upward-exposed uses, and defs. It returns
-// the Info under construction and the reachable blocks in postorder;
-// afterwards sc.state[b] != 0 marks b reachable from the entry.
+// prepare resets sc for f, numbers f's global names, and computes the
+// block-local sets shared by all three solvers: empty in/out,
+// upward-exposed uses, and defs, all over the global names' bits. It
+// returns the Info under construction and the reachable blocks in
+// postorder; afterwards sc.state[b] != 0 marks b reachable from the
+// entry.
 func (sc *Scratch) prepare(f *ir.Func) (*Info, []ir.BlockID) {
 	nb := len(f.Blocks)
-	nv := f.NumVars()
-	sc.arena.Reset()
 	li := &sc.info
-	li.In = reuse.Slice(li.In, nb)
-	li.Out = reuse.Slice(li.Out, nb)
+	li.numberGlobals(f)
+	nw := len(li.names)
+
+	sc.arena.Reset()
+	li.in = reuse.Slice(li.in, nb)
+	li.out = reuse.Slice(li.out, nb)
 	ueVar := reuse.Slice(sc.ueVar, nb) // upward-exposed uses (excl. φ args)
-	defs := reuse.Slice(sc.defs, nb)   // vars defined in block (incl. φ defs)
+	defs := reuse.Slice(sc.defs, nb)   // globals defined in block (incl. φ defs)
 	sc.ueVar, sc.defs = ueVar, defs
 	for i := 0; i < nb; i++ {
-		li.In[i] = sc.arena.New(nv)
-		li.Out[i] = sc.arena.New(nv)
-		ueVar[i] = sc.arena.New(nv)
-		defs[i] = sc.arena.New(nv)
+		li.in[i] = sc.arena.New(nw)
+		li.out[i] = sc.arena.New(nw)
+		ueVar[i] = sc.arena.New(nw)
+		defs[i] = sc.arena.New(nw)
 	}
 
+	bit := li.bit
 	for _, b := range f.Blocks {
 		ue, df := ueVar[b.ID], defs[b.ID]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.OpPhi {
 				for _, a := range in.Args {
-					if !df.Has(int(a)) {
-						ue.Add(int(a))
+					if k := int(bit[a]); k >= 0 && !df.Has(k) {
+						ue.Add(k)
 					}
 				}
 			}
 			if in.Op.HasDef() {
-				df.Add(int(in.Def))
+				if k := int(bit[in.Def]); k >= 0 {
+					df.Add(k)
+				}
 			}
 		}
 	}
 	return li, postorder(f, sc)
+}
+
+// numberGlobals finds f's global names — upward-exposed in some block, or
+// a φ argument — and numbers them in increasing VarID order, filling the
+// VarID -> bit table (-1 for every other name) and the bit -> VarID list
+// in li's reused memory.
+//
+// The scan keeps one int32 per name in the table itself: 0 while the name
+// is unseen, b+1 while b is the block that last defined it, -1 once it is
+// global. A use in block b of a name not defined earlier in b is
+// upward-exposed; blocks are scanned one at a time, so an entry equal to
+// b+1 can only have been written by an earlier instruction of b.
+//
+// fc:hotpath
+func (li *Info) numberGlobals(f *ir.Func) {
+	bit := reuse.Zeroed(li.bit, f.NumVars())
+	for _, b := range f.Blocks {
+		here := int32(b.ID) + 1
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, a := range in.Args {
+				if in.Op == ir.OpPhi || bit[a] != here {
+					bit[a] = -1
+				}
+			}
+			if in.Op.HasDef() && bit[in.Def] >= 0 {
+				bit[in.Def] = here
+			}
+		}
+	}
+	names := li.names[:0]
+	for v, k := range bit {
+		if k < 0 {
+			bit[v] = int32(len(names))
+			names = append(names, ir.VarID(v))
+		} else {
+			bit[v] = -1
+		}
+	}
+	li.bit, li.names = bit, names
 }
 
 type dfsFrame struct {
@@ -372,7 +435,51 @@ func postorder(f *ir.Func, sc *Scratch) []ir.BlockID {
 }
 
 // LiveIn reports whether v is live at entry to block b.
-func (li *Info) LiveIn(b ir.BlockID, v ir.VarID) bool { return li.In[b].Has(int(v)) }
+func (li *Info) LiveIn(b ir.BlockID, v ir.VarID) bool {
+	k := li.bit[v]
+	return k >= 0 && li.in[b].Has(int(k))
+}
 
 // LiveOut reports whether v is live at exit from block b.
-func (li *Info) LiveOut(b ir.BlockID, v ir.VarID) bool { return li.Out[b].Has(int(v)) }
+func (li *Info) LiveOut(b ir.BlockID, v ir.VarID) bool {
+	k := li.bit[v]
+	return k >= 0 && li.out[b].Has(int(k))
+}
+
+// LiveInNames returns an iterator over the names live at entry to b.
+func (li *Info) LiveInNames(b ir.BlockID) Names {
+	return Names{set: li.in[b], names: li.names}
+}
+
+// LiveOutNames returns an iterator over the names live at exit from b.
+func (li *Info) LiveOutNames(b ir.BlockID) Names {
+	return Names{set: li.out[b], names: li.names}
+}
+
+// Names iterates one live set in increasing VarID order:
+//
+//	it := li.LiveOutNames(b)
+//	for v, ok := it.Next(); ok; v, ok = it.Next() { ... }
+//
+// It is a value that allocates nothing, and is valid as long as the Info
+// it came from.
+type Names struct {
+	set   bitset.Set
+	names []ir.VarID
+	wi    int    // next word of set to load
+	w     uint64 // members of word wi-1 not yet returned
+}
+
+// Next returns the next live name, or false once the set is exhausted.
+func (it *Names) Next() (ir.VarID, bool) {
+	for it.w == 0 {
+		if it.wi == len(it.set) {
+			return ir.NoVar, false
+		}
+		it.w = it.set[it.wi]
+		it.wi++
+	}
+	k := (it.wi-1)<<6 + bits.TrailingZeros64(it.w)
+	it.w &= it.w - 1
+	return it.names[k], true
+}

@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"math/rand"
 	"testing"
 
 	"fastcoalesce/internal/ir"
@@ -18,8 +19,9 @@ func TestStraightLine(t *testing.T) {
 	if li.LiveIn(0, x) || li.LiveIn(0, y) {
 		t.Fatal("nothing is live-in to the entry")
 	}
-	if !li.Out[0].Empty() {
-		t.Fatal("nothing is live-out of a returning block")
+	it := li.LiveOutNames(0)
+	if v, ok := it.Next(); ok {
+		t.Fatalf("%s is live-out of a returning block; nothing should be", f.VarName(v))
 	}
 }
 
@@ -218,5 +220,103 @@ func TestLoopPhi(t *testing.T) {
 	}
 	if li.LiveOut(b3.ID, i1) {
 		t.Error("nothing live-out of exit")
+	}
+}
+
+// TestGlobalNames pins which names get a bit, under every solver. A
+// block-local temporary gets none and is live nowhere, even when it is
+// redefined and used again in a second block; a φ argument with no
+// direct use gets one, because it is live out of its predecessor.
+//
+//	b0: a=1; c=0; t=a+a; b=t; br c b1 b2
+//	b1: jmp b3      b2: c=2; t=c+c; jmp b3
+//	b3: p = phi(b1:a, b2:b); ret p
+func TestGlobalNames(t *testing.T) {
+	f := ir.NewFunc("globals")
+	a, c, tmp, b, p := f.NewVar("a"), f.NewVar("c"), f.NewVar("t"), f.NewVar("b"), f.NewVar("p")
+	bld := ir.NewBuilder(f)
+	b1, b2, b3 := bld.NewBlock(), bld.NewBlock(), bld.NewBlock()
+	bld.Const(a, 1)
+	bld.Const(c, 0)
+	bld.Binop(ir.OpAdd, tmp, a, a)
+	bld.Copy(b, tmp)
+	bld.Br(c, b1, b2)
+	bld.SetBlock(b1)
+	bld.Jmp(b3)
+	bld.SetBlock(b2)
+	bld.Const(c, 2)
+	bld.Binop(ir.OpAdd, tmp, c, c)
+	bld.Jmp(b3)
+	bld.SetBlock(b3)
+	bld.Ret(p)
+	ir.Phi(b3, p, []ir.VarID{a, b})
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, solver := range []Solver{Worklist, RoundRobin, Sparse} {
+		li := ComputeWith(f, &Scratch{}, solver)
+		if len(li.names) != 2 || li.names[0] != a || li.names[1] != b {
+			t.Fatalf("%v: global names %v, want [a b] in VarID order", solver, li.names)
+		}
+		for _, v := range []ir.VarID{c, tmp, p} {
+			if li.bit[v] >= 0 {
+				t.Errorf("%v: block-local %s got bit %d", solver, f.VarName(v), li.bit[v])
+			}
+			for _, blk := range f.Blocks {
+				if li.LiveIn(blk.ID, v) || li.LiveOut(blk.ID, v) {
+					t.Errorf("%v: block-local %s live at a boundary of b%d", solver, f.VarName(v), blk.ID)
+				}
+			}
+		}
+		if !li.LiveOut(b2.ID, b) || !li.LiveOut(0, b) || !li.LiveIn(b2.ID, b) {
+			t.Errorf("%v: φ-only b must be live out of b0 and through b2", solver)
+		}
+		if li.LiveOut(b1.ID, b) || li.LiveIn(b3.ID, b) {
+			t.Errorf("%v: φ-only b must not be live out of b1 or into b3", solver)
+		}
+		it := li.LiveOutNames(0)
+		var got []ir.VarID
+		for v, ok := it.Next(); ok; v, ok = it.Next() {
+			got = append(got, v)
+		}
+		if len(got) != 2 || got[0] != a || got[1] != b {
+			t.Errorf("%v: LiveOutNames(b0) = %v, want [a b]", solver, got)
+		}
+	}
+}
+
+// TestScratchReuseAcrossSizes warms one Scratch on a large function and
+// then runs it on a small one, and the reverse, under every solver. The
+// name -> bit table and the sets carry over between runs, so every answer
+// and the work statistics must equal a fresh Scratch's.
+func TestScratchReuseAcrossSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(6060))
+	large := randomCFGWithPhis(rng, 200, 40)
+	addBlockLocals(rng, large)
+	small := randomCFGWithPhis(rng, 6, 3)
+	addBlockLocals(rng, small)
+	for _, solver := range []Solver{Worklist, RoundRobin, Sparse} {
+		for _, seq := range [][2]*ir.Func{{large, small}, {small, large}} {
+			var sc Scratch
+			for _, f := range seq {
+				got := ComputeWith(f, &sc, solver)
+				var fresh Scratch
+				want := ComputeWith(f, &fresh, solver)
+				if sc.LastStats() != fresh.LastStats() {
+					t.Errorf("%v, %d blocks after reuse: stats %+v, fresh %+v",
+						solver, len(f.Blocks), sc.LastStats(), fresh.LastStats())
+				}
+				for _, b := range f.Blocks {
+					for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+						if got.LiveIn(b.ID, v) != want.LiveIn(b.ID, v) ||
+							got.LiveOut(b.ID, v) != want.LiveOut(b.ID, v) {
+							t.Fatalf("%v, %d blocks after reuse: b%d %s differs from a fresh Scratch",
+								solver, len(f.Blocks), b.ID, f.VarName(v))
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -146,31 +146,62 @@ func randomCFGWithPhis(rng *rand.Rand, nb, nv int) *ir.Func {
 	return f
 }
 
+// TestLivenessAgainstOracle queries every (block, name) point under all
+// three solvers, block-local names included: those get no bit, so the
+// oracle's agreement on them is what proves "no bit means not live"
+// exact.
 func TestLivenessAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
-	points := 0
+	points, local := 0, 0
+	var sc [3]Scratch
 	for trial := 0; trial < 250; trial++ {
 		f := randomCFGWithPhis(rng, 3+rng.Intn(10), 2+rng.Intn(5))
+		addBlockLocals(rng, f)
 		if err := f.Verify(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		li := Compute(f)
 		oin, oout := oracle(f)
-		for b := range f.Blocks {
-			for v := 0; v < f.NumVars(); v++ {
-				points++
-				if li.In[b].Has(v) != oin[b][v] {
-					t.Fatalf("trial %d: LiveIn(b%d, %s) = %v, oracle %v\n%s",
-						trial, b, f.VarName(ir.VarID(v)), li.In[b].Has(v), oin[b][v], f)
-				}
-				if li.Out[b].Has(v) != oout[b][v] {
-					t.Fatalf("trial %d: LiveOut(b%d, %s) = %v, oracle %v\n%s",
-						trial, b, f.VarName(ir.VarID(v)), li.Out[b].Has(v), oout[b][v], f)
+		for si, solver := range []Solver{Worklist, RoundRobin, Sparse} {
+			li := ComputeWith(f, &sc[si], solver)
+			for b := range f.Blocks {
+				bid := ir.BlockID(b)
+				for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+					points++
+					if li.bit[v] < 0 {
+						local++
+					}
+					if got := li.LiveIn(bid, v); got != oin[b][v] {
+						t.Fatalf("trial %d, %v: LiveIn(b%d, %s) = %v, oracle %v\n%s",
+							trial, solver, b, f.VarName(v), got, oin[b][v], f)
+					}
+					if got := li.LiveOut(bid, v); got != oout[b][v] {
+						t.Fatalf("trial %d, %v: LiveOut(b%d, %s) = %v, oracle %v\n%s",
+							trial, solver, b, f.VarName(v), got, oout[b][v], f)
+					}
 				}
 			}
 		}
 	}
-	if points < 5000 {
-		t.Fatalf("only %d comparison points", points)
+	if points < 15000 || local < 1000 {
+		t.Fatalf("only %d comparison points, %d of them on block-local names", points, local)
+	}
+}
+
+// addBlockLocals gives some blocks of f a fresh temporary that is defined
+// and consumed inside the block, just before its terminator: t = a + a;
+// c = t. Such a name crosses no block boundary.
+func addBlockLocals(rng *rand.Rand, f *ir.Func) {
+	nv := f.NumVars()
+	for _, b := range f.Blocks {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		tmp := f.NewVar("")
+		a, c := ir.VarID(rng.Intn(nv)), ir.VarID(rng.Intn(nv))
+		term := b.Instrs[len(b.Instrs)-1]
+		b.Instrs = append(b.Instrs[:len(b.Instrs)-1],
+			ir.Instr{Op: ir.OpAdd, Def: tmp, Args: []ir.VarID{a, a}},
+			ir.Instr{Op: ir.OpCopy, Def: c, Args: []ir.VarID{tmp}},
+			term)
 	}
 }

@@ -26,10 +26,10 @@ import (
 	"fastcoalesce/internal/ir"
 )
 
-// varBlock is one unit of sparse-solver work: variable v is live-in to
-// block b and its predecessors have not yet been told.
+// varBlock is one unit of sparse-solver work: the global name with bit k
+// is live-in to block b and its predecessors have not yet been told.
 type varBlock struct {
-	v ir.VarID
+	k int32
 	b ir.BlockID
 }
 
@@ -65,14 +65,14 @@ func ComputeSparseScratch(f *ir.Func, sc *Scratch) *Info {
 				if sc.state[p] == 0 {
 					continue
 				}
-				v := int(a)
-				if li.Out[p].Has(v) {
+				k := int(li.bit[a])
+				if li.out[p].Has(k) {
 					continue
 				}
-				li.Out[p].Add(v)
-				if !sc.defs[p].Has(v) && !li.In[p].Has(v) {
-					li.In[p].Add(v)
-					pairs = append(pairs, varBlock{a, p})
+				li.out[p].Add(k)
+				if !sc.defs[p].Has(k) && !li.in[p].Has(k) {
+					li.in[p].Add(k)
+					pairs = append(pairs, varBlock{int32(k), p})
 				}
 			}
 		}
@@ -83,7 +83,7 @@ func ComputeSparseScratch(f *ir.Func, sc *Scratch) *Info {
 	// already seeded through a φ edge is not pushed twice.
 	for _, bid := range order {
 		ue := sc.ueVar[bid]
-		inb := li.In[bid]
+		inb := li.in[bid]
 		for wi, w := range ue {
 			nw := w &^ inb[wi]
 			if nw == 0 {
@@ -92,9 +92,9 @@ func ComputeSparseScratch(f *ir.Func, sc *Scratch) *Info {
 			inb[wi] |= nw
 			base := wi * 64
 			for nw != 0 {
-				v := base + bits.TrailingZeros64(nw)
+				k := base + bits.TrailingZeros64(nw)
 				nw &= nw - 1
-				pairs = append(pairs, varBlock{ir.VarID(v), bid})
+				pairs = append(pairs, varBlock{int32(k), bid})
 			}
 		}
 	}
@@ -106,15 +106,15 @@ func ComputeSparseScratch(f *ir.Func, sc *Scratch) *Info {
 		sc.stats.Visits++
 		pr := pairs[len(pairs)-1]
 		pairs = pairs[:len(pairs)-1]
-		v := int(pr.v)
+		k := int(pr.k)
 		for _, p := range f.Blocks[pr.b].Preds {
-			if sc.state[p] == 0 || li.Out[p].Has(v) {
+			if sc.state[p] == 0 || li.out[p].Has(k) {
 				continue
 			}
-			li.Out[p].Add(v)
-			if !sc.defs[p].Has(v) && !li.In[p].Has(v) {
-				li.In[p].Add(v)
-				pairs = append(pairs, varBlock{pr.v, p})
+			li.out[p].Add(k)
+			if !sc.defs[p].Has(k) && !li.in[p].Has(k) {
+				li.in[p].Add(k)
+				pairs = append(pairs, varBlock{pr.k, p})
 			}
 		}
 	}

@@ -22,14 +22,15 @@ func assertSparseSame(t *testing.T, f *ir.Func, label string) {
 	wl := ComputeScratch(f, &wsc)
 	rr := ComputeRoundRobinScratch(f, &rsc)
 	for b := range f.Blocks {
-		for v := 0; v < f.NumVars(); v++ {
-			if sp.In[b].Has(v) != wl.In[b].Has(v) || sp.In[b].Has(v) != rr.In[b].Has(v) {
+		bid := ir.BlockID(b)
+		for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
+			if sp.LiveIn(bid, v) != wl.LiveIn(bid, v) || sp.LiveIn(bid, v) != rr.LiveIn(bid, v) {
 				t.Fatalf("%s: LiveIn(b%d, %s): sparse %v, worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), sp.In[b].Has(v), wl.In[b].Has(v), rr.In[b].Has(v), f)
+					label, b, f.VarName(v), sp.LiveIn(bid, v), wl.LiveIn(bid, v), rr.LiveIn(bid, v), f)
 			}
-			if sp.Out[b].Has(v) != wl.Out[b].Has(v) || sp.Out[b].Has(v) != rr.Out[b].Has(v) {
+			if sp.LiveOut(bid, v) != wl.LiveOut(bid, v) || sp.LiveOut(bid, v) != rr.LiveOut(bid, v) {
 				t.Fatalf("%s: LiveOut(b%d, %s): sparse %v, worklist %v, round-robin %v\n%s",
-					label, b, f.VarName(ir.VarID(v)), sp.Out[b].Has(v), wl.Out[b].Has(v), rr.Out[b].Has(v), f)
+					label, b, f.VarName(v), sp.LiveOut(bid, v), wl.LiveOut(bid, v), rr.LiveOut(bid, v), f)
 			}
 		}
 	}
@@ -53,7 +54,7 @@ func TestSparseVsDenseUnreachable(t *testing.T) {
 		for b := range f.Blocks {
 			if sc.state[b] == 0 {
 				sawUnreachable = true
-				if !li.In[b].Empty() || !li.Out[b].Empty() {
+				if !li.in[b].Empty() || !li.out[b].Empty() {
 					t.Fatalf("trial %d: unreachable b%d has non-empty sets\n%s", trial, b, f)
 				}
 			}

@@ -301,9 +301,10 @@ func Build(f *ir.Func, opt Options) *Stats {
 func enforceStrict(f *ir.Func, live *liveness.Info) int {
 	entry := f.Blocks[f.Entry]
 	var inits []ir.Instr
-	live.In[f.Entry].ForEach(func(v int) {
-		inits = append(inits, ir.Instr{Op: ir.OpConst, Def: ir.VarID(v), Const: 0})
-	})
+	it := live.LiveInNames(f.Entry)
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		inits = append(inits, ir.Instr{Op: ir.OpConst, Def: v, Const: 0})
+	}
 	if len(inits) == 0 {
 		return 0
 	}
