@@ -290,10 +290,11 @@ func runSolvers() error {
 
 // runPressure runs the register-pressure sweep: every pipeline's
 // coalesced output allocated at k = 4/8/16/32 over the workload suite
-// and the famgen CFG families, with every allocation verified against an
-// independently built interference graph and interpreter-compared to the
-// original program — any divergence is returned as an error, so CI can
-// use this mode as a correctness gate.
+// and the famgen CFG families, with every coloring checked against
+// interference computed afresh (regalloc.VerifyAllocation) and every
+// allocation interpreter-compared to the original program — any
+// divergence is returned as an error, so CI can use this mode as a
+// correctness gate.
 func runPressure() error {
 	fmt.Println("Register-pressure sweep (Chaitin/Briggs allocation of each pipeline's output)")
 	fmt.Println("(every cell is interpreter-verified: original vs allocated+spilled code;")

@@ -14,10 +14,10 @@ import (
 // paper's second, more decisive efficacy axis (§5): coalescing quality
 // only becomes an end-to-end result once live ranges are actually
 // colored and spilled. Every allocated program is verified three ways
-// (proper coloring against an independently built interference graph,
-// ir.Verify, and interpreter equivalence with the original), so
-// `experiments -pressure` doubles as a CI correctness gate: any mismatch
-// aborts the sweep with an error.
+// (proper coloring against interference computed afresh, independently
+// of the allocator's own walk; ir.Verify; and interpreter equivalence
+// with the original), so `experiments -pressure` doubles as a CI
+// correctness gate: any mismatch aborts the sweep with an error.
 
 // PressureEntry is one (scope, pipeline, k) cell of the sweep, summed
 // over the scope's functions. Scope is "suite" for the 29-workload

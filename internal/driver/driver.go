@@ -196,10 +196,10 @@ type Config struct {
 
 	// RegallocK, when positive, runs the register allocator over every
 	// pipeline's coalesced output with K registers: the function is
-	// rewritten with spill code, the coloring is verified against an
-	// independently built interference graph, and the spill statistics
-	// land in FuncMetrics/Snapshot. Because allocation changes the
-	// output, K joins the cache fingerprint.
+	// rewritten with spill code, the coloring is verified against
+	// interference computed afresh (regalloc.VerifyAllocationScratch),
+	// and the spill statistics land in FuncMetrics/Snapshot. Because
+	// allocation changes the output, K joins the cache fingerprint.
 	RegallocK int
 
 	// fp is the cache fingerprint, resolved once per run (runStream,

@@ -108,9 +108,10 @@ func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats
 
 // Allocate is the backend shared by every pipeline: it colors the
 // destructed f with cfg.RegallocK registers, rewriting it with spill
-// code, then checks the coloring against an independently built
-// interference graph and re-verifies the IR. The allocator's result is
-// returned whenever the allocator produced one, even alongside an error.
+// code, then checks the coloring against interference computed afresh
+// (regalloc.VerifyAllocationScratch) and re-verifies the IR. The
+// allocator's result is returned whenever the allocator produced one,
+// even alongside an error.
 func Allocate(f *ir.Func, cfg Config, sc *Scratch) (*regalloc.Result, error) {
 	tr := sc.tracer()
 	ra, err := regalloc.AllocateScratch(f, regalloc.Options{
@@ -120,7 +121,7 @@ func Allocate(f *ir.Func, cfg Config, sc *Scratch) (*regalloc.Result, error) {
 		return ra, fmt.Errorf("regalloc k=%d: %w", cfg.RegallocK, err)
 	}
 	tr.Begin(obs.PhaseRegallocVerify)
-	err = regalloc.VerifyAllocation(f, ra.Colors, cfg.RegallocK)
+	err = regalloc.VerifyAllocationScratch(f, ra.Colors, cfg.RegallocK, sc.regallocScratch())
 	if err == nil {
 		err = f.Verify()
 	}

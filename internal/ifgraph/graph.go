@@ -103,11 +103,9 @@ type BuildOptions struct {
 	N int
 }
 
-// Build constructs the interference graph of f with Chaitin's backward
-// walk: at each definition, the defined name interferes with everything
-// currently live — except that a copy's source is exempted from
-// interfering with its destination, which is what makes coalescing of
-// copies possible at all. f must contain no φ-nodes (destruction first).
+// Build constructs the interference graph of f over the namespace opt
+// selects: an edge joins every pair Interferences visits. f must contain
+// no φ-nodes (destruction first).
 func Build(f *ir.Func, live *liveness.Info, opt BuildOptions) *Graph {
 	var node func(ir.VarID) int32
 	var n int
@@ -119,8 +117,32 @@ func Build(f *ir.Func, live *liveness.Info, opt BuildOptions) *Graph {
 		node = func(v ir.VarID) int32 { return opt.Universe[v] }
 	}
 	g := NewGraph(n)
+	Interferences(f, live, bitset.New(f.NumVars()), func(d ir.VarID, across bitset.Set) {
+		dn := node(d)
+		if dn < 0 {
+			return
+		}
+		across.ForEach(func(l int) {
+			if ln := node(ir.VarID(l)); ln >= 0 {
+				g.AddEdge(dn, ln)
+			}
+		})
+	})
+	return g
+}
 
-	cur := bitset.New(f.NumVars())
+// Interferences is the one definition of the interference relation,
+// Chaitin's backward walk over each block from its live-out set: at each
+// definition d, visit(d, across) receives the names live across it, and
+// d interferes with exactly those. A copy's source is left out of its
+// destination's set, which is what makes coalescing copies possible at
+// all. A dead definition still gets its visit (it occupies a register at
+// the definition point).
+//
+// cur is the walk's live set and must hold at least f.NumVars() bits; its
+// contents on entry are ignored. across aliases cur and is valid only
+// during the call; visit must not modify it. f must contain no φ-nodes.
+func Interferences(f *ir.Func, live *liveness.Info, cur bitset.Set, visit func(d ir.VarID, across bitset.Set)) {
 	for _, b := range f.Blocks {
 		cur.Clear()
 		it := live.LiveOutNames(b.ID)
@@ -130,30 +152,18 @@ func Build(f *ir.Func, live *liveness.Info, opt BuildOptions) *Graph {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPhi {
-				panic("ifgraph: Build requires φ-free code")
+				panic("ifgraph: interference walk requires φ-free code")
 			}
 			if in.Op.HasDef() {
-				d := in.Def
+				cur.Remove(int(in.Def))
 				if in.Op == ir.OpCopy {
 					cur.Remove(int(in.Args[0]))
 				}
-				dn := node(d)
-				if dn >= 0 {
-					cur.ForEach(func(l int) {
-						if ln := node(ir.VarID(l)); ln >= 0 && l != int(d) {
-							g.AddEdge(dn, ln)
-						}
-					})
-				}
-				cur.Remove(int(d))
-				if in.Op == ir.OpCopy {
-					cur.Add(int(in.Args[0]))
-				}
+				visit(in.Def, cur)
 			}
 			for _, a := range in.Args {
 				cur.Add(int(a))
 			}
 		}
 	}
-	return g
 }

@@ -31,19 +31,21 @@ func (fr Fragment) Len() int32 {
 }
 
 // build computes liveness, the live-range fragments, the interference
-// graph, and the frequency-weighted spill costs of f in one combined
-// backward walk, reusing sc's memory. It returns the maximum register
-// pressure (simultaneously live variables) seen at any program point.
+// graph, and the spill costs of f, weighted by the block frequencies
+// freq, in one combined backward walk, reusing sc's memory. It returns
+// the maximum register pressure (simultaneously live variables) seen at
+// any program point.
 //
 // The walk is Chaitin's: at each definition the defined variable
 // interferes with everything currently live, except that a copy's source
 // is exempted from interfering with its destination — the exemption that
-// makes coalescing possible at all (ifgraph.Build applies the same rule;
-// VerifyAllocation cross-checks the two graph constructions). Fragments
+// makes coalescing possible at all (ifgraph.Interferences defines the
+// same relation with its own walk, and VerifyAllocationScratch checks
+// every coloring against it, so the two cross-check each other). Fragments
 // fall out for free: a variable's death point is the position where the
 // backward walk first sees it, and its definition (or the block entry)
 // closes the interval.
-func (sc *Scratch) build(f *ir.Func, opt Options) (maxPressure int) {
+func (sc *Scratch) build(f *ir.Func, opt Options, freq []float64) (maxPressure int) {
 	nv := f.NumVars()
 	li := liveness.ComputeWith(f, &sc.live, opt.LiveSolver)
 
@@ -127,8 +129,6 @@ func (sc *Scratch) build(f *ir.Func, opt Options) (maxPressure int) {
 	// estimate (loop headers ×10), replacing the cruder 10^depth weight —
 	// a conditionally executed arm inside a loop now costs less than the
 	// always-executed latch.
-	sc.dom.RecomputeWith(f, opt.DomSolver)
-	freq := sc.dom.EstimateFrequenciesInto(&sc.freq)
 	cost := reuse.Zeroed(sc.cost, nv)
 	sc.cost = cost
 	appears := reuse.Zeroed(sc.appears, nv)

@@ -21,6 +21,7 @@ package regalloc
 import (
 	"fmt"
 
+	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
@@ -89,11 +90,22 @@ func Allocate(f *ir.Func, opt Options) (*Result, error) {
 // AllocateScratch is Allocate reusing sc's memory across calls. A nil sc
 // is allowed and allocates cold.
 func AllocateScratch(f *ir.Func, opt Options, sc *Scratch) (*Result, error) {
-	if opt.K < 2 {
-		return nil, fmt.Errorf("regalloc: need K >= 2, got %d", opt.K)
-	}
 	if sc == nil {
 		sc = &Scratch{}
+	}
+	return sc.allocate(f, opt, (*Scratch).rewriteSpills)
+}
+
+// spillRewriter rewrites one round's spilled names; see rewriteSpills,
+// the only one outside the tests.
+type spillRewriter func(sc *Scratch, f *ir.Func, toSpill []ir.VarID, arr ir.ArrID, firstSlot int) (reloads, stores int)
+
+// allocate is the build/color/spill loop of AllocateScratch, with the
+// spill rewriter as a parameter so that the tests can drive the same loop
+// with the per-name reference rewriter.
+func (sc *Scratch) allocate(f *ir.Func, opt Options, rewrite spillRewriter) (*Result, error) {
+	if opt.K < 2 {
+		return nil, fmt.Errorf("regalloc: need K >= 2, got %d", opt.K)
 	}
 	maxRounds := opt.MaxRounds
 	if maxRounds == 0 {
@@ -103,11 +115,18 @@ func AllocateScratch(f *ir.Func, opt Options, sc *Scratch) (*Result, error) {
 	res := &Result{}
 	sc.beginAlloc(f.NumVars())
 	spillArr := ir.NoArr
+	var freq []float64
 
 	for {
 		res.Rounds++
 		tr.Begin(obs.PhaseRegallocBuild)
-		pressure := sc.build(f, opt)
+		if res.Rounds == 1 {
+			// Spill code adds instructions and names but never blocks or
+			// edges, so one frequency estimate serves every round.
+			sc.dom.RecomputeWith(f, opt.DomSolver)
+			freq = sc.dom.EstimateFrequenciesInto(&sc.freq)
+		}
+		pressure := sc.build(f, opt, freq)
 		tr.End(obs.PhaseRegallocBuild)
 		if res.Rounds == 1 {
 			res.MaxPressure = pressure
@@ -133,21 +152,22 @@ func AllocateScratch(f *ir.Func, opt Options, sc *Scratch) (*Result, error) {
 			spillArr = f.NewArr("spill")
 		}
 		for _, v := range toSpill {
-			slot := res.SpillSlots
-			res.SpillSlots++
 			res.SpilledVars++
 			res.SpillCost += sc.cost[v]
 			sc.markSpilled(v)
-			temps, reloads, stores := insertSpillCode(f, v, spillArr, slot)
-			res.Reloads += reloads
-			res.Stores += stores
-			// Reload temporaries are unspillable (spilling a one-instr
-			// range cannot reduce pressure and would not terminate); the
-			// tinyRange check catches them structurally and the stamp
-			// keeps the candidate scan cheap.
-			for _, t := range temps {
-				sc.markSpilled(t)
-			}
+		}
+		firstTemp := f.NumVars()
+		reloads, stores := rewrite(sc, f, toSpill, spillArr, res.SpillSlots)
+		res.SpillSlots += len(toSpill)
+		res.Reloads += reloads
+		res.Stores += stores
+		// Reload temporaries are unspillable (spilling a one-instr range
+		// cannot reduce pressure and would not terminate); the tinyRange
+		// check catches them structurally and the stamp keeps the
+		// candidate scan cheap. Marking the highest first grows the
+		// table once.
+		for t := f.NumVars() - 1; t >= firstTemp; t-- {
+			sc.markSpilled(ir.VarID(t))
 		}
 		f.ArrLens[spillArr] = res.SpillSlots
 		tr.End(obs.PhaseRegallocSpill)
@@ -283,30 +303,38 @@ func (sc *Scratch) finish(f *ir.Func, res *Result) {
 	res.Fragments = len(sc.frags)
 }
 
-// VerifyAllocation checks that the coloring is a proper coloring of f's
-// interference graph with at most K colors. It deliberately rebuilds the
-// graph through ifgraph.Build — an independent construction — so every
-// verified allocation also cross-checks the allocator's own combined
-// fragment/interference walk.
+// VerifyAllocation checks that colors is a proper coloring of f's live
+// ranges with at most k registers. It is VerifyAllocationScratch with
+// cold, private scratch state.
 func VerifyAllocation(f *ir.Func, colors []int, k int) error {
-	live := liveness.Compute(f)
-	g := ifgraph.Build(f, live, ifgraph.BuildOptions{})
-	for v := 0; v < f.NumVars(); v++ {
-		c := colors[v]
+	return VerifyAllocationScratch(f, colors, k, &Scratch{})
+}
+
+// VerifyAllocationScratch checks that colors is a proper coloring of f's
+// live ranges with at most k registers: every name f mentions has a
+// color in [0, k), and no two interfering names share one. Interference
+// comes from ifgraph.Interferences over liveness computed afresh on f,
+// not from the allocator's own combined walk, so every verified
+// allocation cross-checks that walk. Each definition's color is checked
+// against the names live across it as the walk visits them; no graph is
+// built. The check reuses sc's liveness scratch, so it must not run while
+// an allocation on sc is in progress; with a warm sc a valid coloring
+// costs no allocation. A nil sc is allowed and allocates cold.
+func VerifyAllocationScratch(f *ir.Func, colors []int, k int, sc *Scratch) error {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	nv := f.NumVars()
+	if len(colors) < nv {
+		return fmt.Errorf("regalloc: %d colors for %d variables", len(colors), nv)
+	}
+	for v, c := range colors[:nv] {
 		if c >= k {
 			return fmt.Errorf("regalloc: %s got color %d >= K=%d", f.VarName(ir.VarID(v)), c, k)
 		}
-		if c < 0 {
-			continue
-		}
-		for _, n := range g.Neighbors(int32(v)) {
-			if colors[n] == c && int(n) > v {
-				return fmt.Errorf("regalloc: interfering %s and %s share register r%d",
-					f.VarName(ir.VarID(v)), f.VarName(ir.VarID(n)), c)
-			}
-		}
 	}
-	// Every appearing variable must have a color.
+	// Every appearing variable must have a color; the walk below then
+	// only meets colored names.
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -319,6 +347,24 @@ func VerifyAllocation(f *ir.Func, colors []int, k int) error {
 				}
 			}
 		}
+	}
+	li := liveness.ComputeScratch(f, &sc.live)
+	sc.across = reuse.Slice(sc.across, (nv+63)/64)
+	clash := [2]ir.VarID{ir.NoVar, ir.NoVar}
+	ifgraph.Interferences(f, li, sc.across, func(d ir.VarID, across bitset.Set) {
+		if clash[0] != ir.NoVar {
+			return
+		}
+		c := colors[d]
+		across.ForEach(func(l int) {
+			if colors[l] == c && clash[0] == ir.NoVar {
+				clash = [2]ir.VarID{d, ir.VarID(l)}
+			}
+		})
+	})
+	if clash[0] != ir.NoVar {
+		return fmt.Errorf("regalloc: interfering %s and %s share register r%d",
+			f.VarName(clash[0]), f.VarName(clash[1]), colors[clash[0]])
 	}
 	return nil
 }

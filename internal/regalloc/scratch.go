@@ -1,6 +1,9 @@
 package regalloc
 
 import (
+	"slices"
+
+	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
@@ -11,9 +14,11 @@ import (
 // substrate analyses (dominators for spill-cost frequencies, liveness for
 // interference), the interference graph (triangular dedup bit matrix plus
 // adjacency lists), the backward-walk state that discovers live-range
-// fragments, and the simplify/select tables. The zero value is ready to
-// use; a warm Scratch makes the no-spill allocation path allocation-free
-// except for the returned Result (pinned by an AllocsPerRun guard).
+// fragments, the simplify/select tables, the spill rewriter's tables,
+// and the live set of VerifyAllocationScratch's walk. The zero value is
+// ready to use; a warm Scratch makes the no-spill allocation path
+// allocation-free except for the returned Result, and verification
+// allocation-free outright (both pinned by AllocsPerRun guards).
 //
 // The spilled marks use the generation-stamp idiom (ARCHITECTURE.md):
 // each Allocate call bumps spillEpoch instead of clearing the table, and
@@ -31,9 +36,10 @@ type Scratch struct {
 
 	// Interference graph over the variable namespace: adjacency lists
 	// plus a triangular bit matrix that dedups edge insertion, exactly
-	// the §4 representation ifgraph uses (VerifyAllocation rebuilds the
-	// graph through ifgraph.Build, so the two constructions cross-check
-	// each other on every verified allocation).
+	// the §4 representation ifgraph uses. VerifyAllocationScratch checks
+	// the coloring against ifgraph.Interferences instead, so the
+	// allocator's walk and the shared definition of interference
+	// cross-check each other on every verified allocation.
 	adj    [][]int32
 	matrix []uint64
 
@@ -63,6 +69,19 @@ type Scratch struct {
 
 	spilled    []uint32 // fc:stamp spillEpoch
 	spillEpoch uint32   // fc:epoch
+
+	// Spill rewriting (rewriteSpills): each name's index in the round's
+	// spill list (-1 if not spilled), each spilled name's next temporary
+	// and reload name, each block's count of new instructions, and one
+	// instruction's spilled uses.
+	spillOrd  []int32
+	spillNext []ir.VarID
+	spillRld  []string
+	spillGrow []int32
+	spillUses []int32
+
+	// VerifyAllocationScratch's live set, one bit per name.
+	across bitset.Set
 }
 
 // beginAlloc opens one Allocate call: a new spill generation covering
@@ -86,7 +105,9 @@ func (sc *Scratch) beginAlloc(nv int) {
 // zeroed extension reads as unspilled, same as a stale epoch.
 func (sc *Scratch) markSpilled(v ir.VarID) {
 	if n := int(v) + 1; n > len(sc.spilled) {
-		sc.spilled = append(sc.spilled, make([]uint32, n-len(sc.spilled))...)
+		old := len(sc.spilled)
+		sc.spilled = slices.Grow(sc.spilled, n-old)[:n]
+		clear(sc.spilled[old:])
 	}
 	sc.spilled[v] = sc.spillEpoch
 }
