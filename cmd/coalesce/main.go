@@ -18,9 +18,6 @@
 //	          (default new)
 //	-ssa      pruned | semi | minimal: SSA flavor for every mode
 //	          (default pruned)
-//	-domsolver  chk | semi-nca: dominator algorithm  (default chk)
-//	-livesolver worklist | round-robin | sparse: liveness algorithm
-//	          (default worklist); both solver flags are output-invariant
 //	-dump-in  print the input IR
 //	-dump-ssa print the SSA form before destruction
 //	-stats    print conversion statistics
@@ -69,12 +66,10 @@ import (
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
-	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/opt"
 	"fastcoalesce/internal/ssa"
@@ -92,8 +87,6 @@ func main() {
 func realMain() error {
 	algoName := flag.String("algo", "new", "standard | new | briggs | briggs* (alias briggs-star)")
 	flavorName := flag.String("ssa", "pruned", "pruned | semi | minimal")
-	domSolverName := flag.String("domsolver", "chk", "dominator solver: chk | semi-nca")
-	liveSolverName := flag.String("livesolver", "worklist", "liveness solver: worklist | round-robin | sparse")
 	dumpIn := flag.Bool("dump-in", false, "print the input IR")
 	dumpSSA := flag.Bool("dump-ssa", false, "print the SSA form")
 	stats := flag.Bool("stats", false, "print conversion statistics")
@@ -125,12 +118,6 @@ func realMain() error {
 		return err
 	}
 	if cfg.Check, err = analysis.ParseLevel(*checkName); err != nil {
-		return err
-	}
-	if cfg.DomSolver, err = dom.ParseSolver(*domSolverName); err != nil {
-		return err
-	}
-	if cfg.LiveSolver, err = liveness.ParseSolver(*liveSolverName); err != nil {
 		return err
 	}
 	if *doRegalloc {

@@ -135,6 +135,14 @@ func TestCompileRejectsBadInput(t *testing.T) {
 		{"parse error", http.MethodPost, "/compile", "func oops(", http.StatusBadRequest},
 		{"bad format", http.MethodPost, "/compile?format=wasm", "x", http.StatusBadRequest},
 		{"bad ir", http.MethodPost, "/compile?format=ir", "not ir at all", http.StatusBadRequest},
+		// 2 MB bodies nested far past the parser's budget. Compiling
+		// either overflows the stack, which ends the process.
+		{"million parens", http.MethodPost, "/compile",
+			"func f(a int) int { return " + strings.Repeat("(", 1_000_000) + "a" + strings.Repeat(")", 1_000_000) + " }",
+			http.StatusBadRequest},
+		{"million-term sum", http.MethodPost, "/compile",
+			"func f(a int) int { return a" + strings.Repeat("+a", 999_999) + " }",
+			http.StatusBadRequest},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 		rr := httptest.NewRecorder()

@@ -9,7 +9,6 @@
 //	experiments -table 4        # one table
 //	experiments -repeat 9       # more timing repetitions
 //	experiments -scaling        # complexity scaling study only
-//	experiments -solvers        # substrate-solver crossover sweep (CHK vs SEMI-NCA, dense vs sparse)
 //	experiments -pressure       # register-pressure sweep: all pipelines allocated at k=4/8/16/32
 //	experiments -throughput     # batch-compilation throughput study
 //	experiments -audit          # checker-overhead study (internal/analysis)
@@ -52,7 +51,6 @@ func realMain() (err error) {
 	table := flag.Int("table", 0, "table to regenerate (1-5; 0 = all)")
 	repeat := flag.Int("repeat", 5, "timing repetitions (best-of)")
 	scaling := flag.Bool("scaling", false, "run the O(n α(n)) scaling study instead")
-	solvers := flag.Bool("solvers", false, "run the substrate-solver crossover sweep instead (also a differential gate)")
 	pressure := flag.Bool("pressure", false, "run the register-pressure sweep instead (also a differential gate)")
 	ext := flag.Bool("ext", false, "run the optimizer-pipeline extension experiment instead")
 	alloc := flag.Int("alloc", 0, "register count for -corpus: allocate every streamed function with this many registers (0 = no allocation)")
@@ -119,8 +117,6 @@ func realMain() (err error) {
 		return runBenchJSON(*label, *repeat, *out)
 	case *scaling:
 		return runScaling()
-	case *solvers:
-		return runSolvers()
 	case *pressure:
 		return runPressure()
 	case *throughput:
@@ -267,24 +263,6 @@ func runScaling() error {
 		}
 		fmt.Printf("%8d %12d %12d %10.0f\n", stmts, b, s, float64(b)/float64(s))
 	}
-	return nil
-}
-
-// runSolvers runs the substrate-solver crossover sweep: warm-scratch
-// dominator and liveness recompute times per CFG family and size, with
-// a built-in differential check (SEMI-NCA vs CHK, sparse vs worklist) —
-// any disagreement is returned as an error, so CI can use this mode as
-// a correctness gate.
-func runSolvers() error {
-	fmt.Println("Substrate-solver crossover sweep (warm scratch, best of 3)")
-	fmt.Println("(every point is differentially checked: SEMI-NCA against CHK,")
-	fmt.Println(" sparse per-variable liveness against the dense worklist)")
-	fmt.Println()
-	entries, err := bench.RunSolverSweep()
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatSolverSweep(entries))
 	return nil
 }
 

@@ -59,7 +59,6 @@ type BenchReport struct {
 	Workloads []BenchEntry    `json:"workloads"`
 	Micro     []BenchEntry    `json:"micro"`
 	Scaling   []ScalingEntry  `json:"scaling"`
-	Solvers   []SolverEntry   `json:"solvers,omitempty"`  // substrate-solver crossover sweep
 	Cache     []BenchEntry    `json:"cache,omitempty"`    // result-cache off/fill/hit batch costs
 	Serve     []BenchEntry    `json:"serve,omitempty"`    // warm shard-pool submit floor per shard count
 	Pressure  []PressureEntry `json:"pressure,omitempty"` // register-pressure sweep at k=4/8/16/32
@@ -327,11 +326,6 @@ func RunBenchJSON(label string, repeat int) (*BenchReport, error) {
 		return nil, err
 	}
 	rep.Scaling = scaling
-	solvers, err := RunSolverSweep()
-	if err != nil {
-		return nil, err
-	}
-	rep.Solvers = solvers
 	cacheB, err := cacheEntries()
 	if err != nil {
 		return nil, err

@@ -8,8 +8,8 @@ import "fastcoalesce/internal/ir"
 // irreducibility (regions where the CHK iterative solver needs extra
 // sweeps while SEMI-NCA stays single-pass). The builders emit verifying
 // IR directly — the kernel language cannot express irreducible flow — so
-// the same functions feed the solver crossover sweep, the differential
-// tests, and the pipeline scaling study.
+// the same functions feed the solver differential tests and the pipeline
+// scaling study.
 
 // CFGFamily names one generator; Build returns a function whose block
 // count grows linearly in size.
@@ -97,8 +97,7 @@ func DeepLoopNest(n int) *ir.Func {
 // local variable in both arms and consumes it at the join, so the
 // variable count grows with n while every live range stays three blocks
 // long — dense bitset liveness pays n²/64 word operations for an answer
-// of linear size, which is exactly where the sparse per-variable solver
-// crosses over.
+// of linear size.
 func DiamondLadder(n int) *ir.Func {
 	if n < 1 {
 		n = 1

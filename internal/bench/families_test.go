@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/dom"
-	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/liveness"
@@ -74,8 +73,8 @@ func TestIrreducibleLadderIsIrreducible(t *testing.T) {
 
 // corpusFns gathers every function the repository can produce — the 29
 // kernel workloads (both pre- and post-SSA), the testdata files, the
-// committed fuzz seed corpus, and the generator families — for the
-// solver differential checks below.
+// committed fuzz seed corpus, and the generator families from size 1 to
+// 1024 — for the solver differential checks below.
 func corpusFns(t *testing.T) map[string]*ir.Func {
 	t.Helper()
 	fns := map[string]*ir.Func{}
@@ -104,7 +103,7 @@ func corpusFns(t *testing.T) map[string]*ir.Func {
 		add(src.name, f)
 	}
 	for _, fam := range Families() {
-		for _, n := range []int{1, 7, 33} {
+		for _, n := range []int{1, 4, 7, 16, 33, 64, 256, 1024} {
 			add(fam.Name+"/"+strconv.Itoa(n), fam.Build(n))
 		}
 	}
@@ -157,15 +156,15 @@ func corpusSources(t *testing.T) []corpusSrc {
 	return out
 }
 
-// TestSolverDifferentialCorpus is the cross-package differential proof:
-// on every corpus function, SEMI-NCA must reproduce CHK's dominator tree
-// field-for-field and the sparse liveness solver must reproduce the
-// worklist fixed point bit-for-bit.
+// TestSolverDifferentialCorpus is the cross-package differential proof
+// for the two oracle solvers: on every corpus function, SEMI-NCA must
+// reproduce CHK's dominator tree field-for-field and the round-robin
+// liveness solver must reproduce the worklist fixed point bit-for-bit.
 func TestSolverDifferentialCorpus(t *testing.T) {
 	var chk, snca dom.Tree
-	var scW, scS liveness.Scratch
+	var scW, scR liveness.Scratch
 	for name, f := range corpusFns(t) {
-		chk.RecomputeWith(f, dom.CHK)
+		chk.Recompute(f)
 		snca.RecomputeWith(f, dom.SemiNCA)
 		for b := range f.Blocks {
 			if chk.Idom[b] != snca.Idom[b] {
@@ -178,80 +177,29 @@ func TestSolverDifferentialCorpus(t *testing.T) {
 				t.Errorf("%s: RPO differs at b%d", name, b)
 			}
 		}
-		lw := liveness.ComputeWith(f, &scW, liveness.Worklist)
-		ls := liveness.ComputeWith(f, &scS, liveness.Sparse)
+		lw := liveness.ComputeScratch(f, &scW)
+		lr := liveness.ComputeRoundRobinScratch(f, &scR)
 		for _, b := range f.Blocks {
-			if !sameNames(lw.LiveInNames(b.ID), ls.LiveInNames(b.ID)) {
+			if !sameNames(lw.LiveInNames(b.ID), lr.LiveInNames(b.ID)) {
 				t.Errorf("%s: live-in differs at b%d", name, b.ID)
 			}
-			if !sameNames(lw.LiveOutNames(b.ID), ls.LiveOutNames(b.ID)) {
+			if !sameNames(lw.LiveOutNames(b.ID), lr.LiveOutNames(b.ID)) {
 				t.Errorf("%s: live-out differs at b%d", name, b.ID)
 			}
 		}
 	}
 }
 
-// TestRunSolverSweep runs the real sweep (it doubles as the CI
-// differential gate) and sanity-checks its output table.
-func TestRunSolverSweep(t *testing.T) {
-	entries, err := RunSolverSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(Families()) * len(solverSizes); len(entries) != want {
-		t.Fatalf("%d entries, want %d", len(entries), want)
-	}
-	for _, e := range entries {
-		if e.CHKNs <= 0 || e.SemiNCANs <= 0 || e.WorklistNs <= 0 || e.SparseNs <= 0 {
-			t.Errorf("%s/%d: non-positive timing %+v", e.Family, e.Size, e)
+// sameNames reports whether two live-set iterators yield the same names.
+func sameNames(x, y liveness.Names) bool {
+	for {
+		u, okx := x.Next()
+		v, oky := y.Next()
+		if okx != oky || u != v {
+			return false
+		}
+		if !okx {
+			return true
 		}
 	}
-	table := FormatSolverSweep(entries)
-	for _, want := range []string{"family", "diamond-ladder", "irreducible-ladder", "sparse"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("sweep table missing %q:\n%s", want, table)
-		}
-	}
-}
-
-// TestDriverRecomputeCountsPerSolver extends the dominators-once guard
-// to the per-solver counters: a batch pinned to one solver must bump
-// only that solver's counter, once per function.
-func TestDriverRecomputeCountsPerSolver(t *testing.T) {
-	jobs := kernelJobsLocal(t)
-	for _, ds := range []dom.Solver{dom.CHK, dom.SemiNCA} {
-		beforeCHK := dom.RecomputeCountOf(dom.CHK)
-		beforeSNCA := dom.RecomputeCountOf(dom.SemiNCA)
-		_, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1, DomSolver: ds})
-		if snap.Errors != 0 {
-			t.Fatalf("%v: errors=%d", ds, snap.Errors)
-		}
-		dCHK := dom.RecomputeCountOf(dom.CHK) - beforeCHK
-		dSNCA := dom.RecomputeCountOf(dom.SemiNCA) - beforeSNCA
-		want := int64(len(jobs))
-		switch ds {
-		case dom.CHK:
-			if dCHK != want || dSNCA != 0 {
-				t.Errorf("chk batch: chk=%d snca=%d, want %d/0", dCHK, dSNCA, want)
-			}
-		case dom.SemiNCA:
-			if dSNCA != want || dCHK != 0 {
-				t.Errorf("semi-nca batch: chk=%d snca=%d, want 0/%d", dCHK, dSNCA, want)
-			}
-		}
-		if snap.DomRecomputes != want {
-			t.Errorf("%v: snapshot DomRecomputes=%d, want %d", ds, snap.DomRecomputes, want)
-		}
-	}
-}
-
-// kernelJobsLocal mirrors the driver test helper without importing the
-// driver's external test package.
-func kernelJobsLocal(t *testing.T) []driver.Job {
-	t.Helper()
-	var jobs []driver.Job
-	for _, w := range Workloads() {
-		jobs = append(jobs, driver.Job{Name: w.Name, Src: w.Src})
-	}
-	return jobs
 }

@@ -49,10 +49,10 @@ type PipelineResult struct {
 }
 
 // RunPipeline compiles a clone of f with the chosen pipeline — the
-// driver's BuildSSA and Destruct, cold (nil scratch) with pruned SSA and
-// the default solvers. Following the paper, the clock starts immediately
-// before SSA construction and stops after the code is rewritten (§4.2);
-// allocation is measured over the same span. It panics on input the
+// driver's BuildSSA and Destruct, cold (nil scratch) with pruned SSA.
+// Following the paper, the clock starts immediately before SSA
+// construction and stops after the code is rewritten (§4.2); allocation
+// is measured over the same span. It panics on input the
 // pipeline rejects (φ-form under the Briggs pipelines); the experiments
 // only feed it φ-free functions.
 func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {

@@ -69,13 +69,6 @@ type Options struct {
 	// does not change between construction and destruction).
 	Dom *dom.Tree
 
-	// DomSolver and LiveSolver select the substrate algorithms used when
-	// Coalesce must run the analyses itself (DomSolver only matters when
-	// Dom is nil). The answers are identical for every choice; only the
-	// cost model differs. Zero values are the defaults.
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
-
 	// Trace, when non-nil, receives a line for each interference found
 	// and each split/cut performed — a debugging aid.
 	Trace func(string)
@@ -283,15 +276,11 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 	dt := opt.Dom
 	domRecomputes := 0
 	if dt == nil {
-		dp := obs.PhaseDom
-		if opt.DomSolver == dom.SemiNCA {
-			dp = obs.PhaseDomSNCA
-		}
-		opt.Obs.Begin(dp)
-		sc.dom.RecomputeWith(f, opt.DomSolver)
+		opt.Obs.Begin(obs.PhaseDom)
+		sc.dom.Recompute(f)
 		dt = &sc.dom
 		domRecomputes = 1
-		opt.Obs.End(dp)
+		opt.Obs.End(obs.PhaseDom)
 	}
 	sc.defBlock = reuse.Slice(sc.defBlock, nv)
 	sc.defIdx = reuse.Slice(sc.defIdx, nv)
@@ -315,13 +304,9 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 	sc.via = reuse.Slice(sc.via, nv)
 	sc.viaGen = reuse.Slice(sc.viaGen, nv)
 	sc.st = Stats{DomRecomputes: domRecomputes}
-	lp := obs.PhaseLiveness
-	if opt.LiveSolver == liveness.Sparse {
-		lp = obs.PhaseLivenessSparse
-	}
-	opt.Obs.Begin(lp)
-	live := liveness.ComputeWith(f, &sc.live, opt.LiveSolver)
-	opt.Obs.End(lp)
+	opt.Obs.Begin(obs.PhaseLiveness)
+	live := liveness.ComputeScratch(f, &sc.live)
+	opt.Obs.End(obs.PhaseLiveness)
 	sc.st.LivenessVisits = sc.live.LastStats().Visits
 	c := &sc.co
 	*c = coalescer{

@@ -1,7 +1,7 @@
 // Package dom computes dominator information for an ir.Func: immediate
-// dominators (either the Cooper-Harvey-Kennedy iterative algorithm or the
-// SEMI-NCA semidominator algorithm, selectable per call), the dominator
-// tree with Tarjan-style preorder/max-preorder numbering for O(1) ancestry
+// dominators (the Cooper-Harvey-Kennedy iterative algorithm; SEMI-NCA is
+// kept as the tests' differential oracle), the dominator tree with
+// Tarjan-style preorder/max-preorder numbering for O(1) ancestry
 // queries, dominance frontiers (Cytron et al.), and natural-loop nesting
 // depths.
 //
@@ -18,17 +18,17 @@
 package dom
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/reuse"
 )
 
-// Solver selects the immediate-dominator algorithm run by RecomputeWith.
-// Both produce identical output (the immediate dominators of a CFG are
+// Solver names an immediate-dominator algorithm for RecomputeWith. Both
+// produce identical output (the immediate dominators of a CFG are
 // unique), so everything derived — Children, Pre/MaxPre, frontiers — is
 // byte-identical regardless of the choice; only the cost model differs.
+// Production code calls Recompute, which runs CHK.
 type Solver uint8
 
 const (
@@ -39,54 +39,18 @@ const (
 	// SemiNCA computes semidominators with Lengauer-Tarjan path-compressed
 	// link-eval over a DSU ancestor forest, then recovers immediate
 	// dominators with the SEMI-NCA ascending-path walk. Near-linear and
-	// insensitive to irreducibility.
+	// insensitive to irreducibility; the tests check CHK against it.
 	SemiNCA
-
-	numSolvers
 )
 
-// String returns the flag spelling of the solver.
-func (s Solver) String() string {
-	switch s {
-	case CHK:
-		return "chk"
-	case SemiNCA:
-		return "semi-nca"
-	}
-	return "unknown"
-}
-
-// ParseSolver parses a -domsolver flag value.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "chk":
-		return CHK, nil
-	case "semi-nca", "snca":
-		return SemiNCA, nil
-	}
-	return CHK, fmt.Errorf("unknown dominator solver %q (want chk or semi-nca)", s)
-}
-
-// recomputeCounts counts dominator (re)computations process-wide, one
-// counter per solver so tests can tell which algorithm did the work.
-var recomputeCounts [numSolvers]atomic.Int64
+// recomputes counts dominator (re)computations process-wide.
+var recomputes atomic.Int64
 
 // RecomputeCount returns how many dominator computations this process has
-// performed under any solver — a test hook guarding against pipelines
-// recomputing a tree they could reuse (SSA construction already publishes
-// one via ssa.Stats.Dom).
-func RecomputeCount() int64 {
-	var total int64
-	for i := range recomputeCounts {
-		total += recomputeCounts[i].Load()
-	}
-	return total
-}
-
-// RecomputeCountOf returns the process-wide computation count for one
-// solver, so the no-redundant-recompute regression test keeps meaning
-// under solver selection.
-func RecomputeCountOf(s Solver) int64 { return recomputeCounts[s].Load() }
+// performed — a test hook guarding against pipelines recomputing a tree
+// they could reuse (SSA construction already publishes one via
+// ssa.Stats.Dom).
+func RecomputeCount() int64 { return recomputes.Load() }
 
 // Tree holds dominator information for a function whose blocks are all
 // reachable from the entry (run ir.Func.RemoveUnreachable first).
@@ -143,17 +107,17 @@ func New(f *ir.Func) *Tree {
 }
 
 // Recompute rebuilds the dominator information for f in place with the
-// default CHK solver, reusing t's slices — the Scratch-reuse hook for
-// batch compilation. A zero Tree is valid input. Results previously read
-// from t are invalidated.
+// CHK solver, reusing t's slices — the Scratch-reuse hook for batch
+// compilation. A zero Tree is valid input. Results previously read from
+// t are invalidated.
 func (t *Tree) Recompute(f *ir.Func) {
 	t.RecomputeWith(f, CHK)
 }
 
-// RecomputeWith is Recompute with an explicit solver choice. The output
-// is identical for every solver; see Solver.
+// RecomputeWith is Recompute with an explicit solver. The output is
+// identical for every solver; see Solver.
 func (t *Tree) RecomputeWith(f *ir.Func, solver Solver) {
-	recomputeCounts[solver].Add(1)
+	recomputes.Add(1)
 	n := len(f.Blocks)
 	t.f = f
 	t.Idom = reuse.Slice(t.Idom, n)

@@ -155,43 +155,7 @@ func TestSemiNCAZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRecomputeCountPerSolver(t *testing.T) {
-	f := buildCFG(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	var dt Tree
-	c0, s0, t0 := RecomputeCountOf(CHK), RecomputeCountOf(SemiNCA), RecomputeCount()
-	dt.RecomputeWith(f, CHK)
-	dt.RecomputeWith(f, SemiNCA)
-	dt.RecomputeWith(f, SemiNCA)
-	if d := RecomputeCountOf(CHK) - c0; d != 1 {
-		t.Errorf("CHK count grew by %d, want 1", d)
-	}
-	if d := RecomputeCountOf(SemiNCA) - s0; d != 2 {
-		t.Errorf("SemiNCA count grew by %d, want 2", d)
-	}
-	if d := RecomputeCount() - t0; d != 3 {
-		t.Errorf("total count grew by %d, want 3", d)
-	}
-}
-
-func TestParseSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Solver
-	}{{"chk", CHK}, {"semi-nca", SemiNCA}, {"snca", SemiNCA}} {
-		got, err := ParseSolver(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSolver(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() == "unknown" {
-			t.Errorf("Solver %d has no String", got)
-		}
-	}
-	if _, err := ParseSolver("lt"); err == nil {
-		t.Error("ParseSolver accepted junk")
-	}
-}
-
-func benchDomSolver(b *testing.B, solver Solver) {
+func benchDom(b *testing.B, solver Solver) {
 	rng := rand.New(rand.NewSource(31415))
 	f := randomDigraph(rng, 512)
 	var dt Tree
@@ -203,5 +167,5 @@ func benchDomSolver(b *testing.B, solver Solver) {
 	}
 }
 
-func BenchmarkDomSemiNCA(b *testing.B) { benchDomSolver(b, SemiNCA) }
-func BenchmarkDomCHK(b *testing.B)     { benchDomSolver(b, CHK) }
+func BenchmarkDomSemiNCA(b *testing.B) { benchDom(b, SemiNCA) }
+func BenchmarkDomCHK(b *testing.B)     { benchDom(b, CHK) }

@@ -34,10 +34,8 @@ import (
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/cache"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
-	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/ssa"
 )
@@ -151,14 +149,6 @@ type Config struct {
 	Algo    Algo
 	Flavor  ssa.Flavor // SSA flavor; the zero value is Pruned
 	Workers int        // worker-pool size; <= 0 means runtime.GOMAXPROCS(0)
-
-	// DomSolver and LiveSolver select the substrate algorithms (dominators
-	// and liveness) for every pipeline stage that runs them. Both choices
-	// are output-invariant — the analyses have unique answers, pinned by
-	// the differential tests — so they are deliberately absent from the
-	// cache fingerprint, like Check/Obs/Workers.
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
 
 	// NoScratch disables per-worker Scratch reuse, making every function
 	// allocate cold — the baseline for the allocation experiments.

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/bench"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/driver"
-	"fastcoalesce/internal/liveness"
 )
 
 // kernelJobs converts the full kernel suite into driver jobs.
@@ -55,34 +53,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		if psnap.Functions != len(jobs) {
 			t.Errorf("%v: %d functions compiled, want %d", algo, psnap.Functions, len(jobs))
-		}
-	}
-}
-
-// TestSolverOutputInvariance compiles the kernel suite with every
-// combination of substrate solvers and checks the outputs are
-// byte-identical to the defaults — the property that justifies leaving
-// DomSolver/LiveSolver out of the cache fingerprint.
-func TestSolverOutputInvariance(t *testing.T) {
-	jobs := kernelJobs(t)
-	for _, algo := range driver.Algos {
-		base, bsnap := driver.Run(jobs, driver.Config{Algo: algo, Workers: 2})
-		if bsnap.Errors != 0 {
-			t.Fatalf("%v: baseline errors=%d", algo, bsnap.Errors)
-		}
-		want := render(t, base)
-		for _, ds := range []dom.Solver{dom.CHK, dom.SemiNCA} {
-			for _, ls := range []liveness.Solver{liveness.Worklist, liveness.RoundRobin, liveness.Sparse} {
-				got, snap := driver.Run(jobs, driver.Config{
-					Algo: algo, Workers: 2, DomSolver: ds, LiveSolver: ls,
-				})
-				if snap.Errors != 0 {
-					t.Fatalf("%v/%v/%v: errors=%d", algo, ds, ls, snap.Errors)
-				}
-				if render(t, got) != want {
-					t.Errorf("%v: output differs under domsolver=%v livesolver=%v", algo, ds, ls)
-				}
-			}
 		}
 	}
 }

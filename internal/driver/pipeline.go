@@ -26,9 +26,9 @@ import (
 func (a Algo) FoldsCopies() bool { return a == Standard || a == New }
 
 // BuildSSA puts f, in place, into the SSA form cfg.Algo destructs, with
-// cfg's flavor and substrate solvers. Input already in φ-form
-// (hand-written .ir) skips construction and only has its critical edges
-// split; the returned Stats is then empty, with no dominator tree.
+// cfg's flavor. Input already in φ-form (hand-written .ir) skips
+// construction and only has its critical edges split; the returned Stats
+// is then empty, with no dominator tree.
 func BuildSSA(f *ir.Func, cfg Config, sc *Scratch) (*ssa.Stats, error) {
 	fold := cfg.Algo.FoldsCopies()
 	if f.CountPhis() > 0 {
@@ -40,7 +40,6 @@ func BuildSSA(f *ir.Func, cfg Config, sc *Scratch) (*ssa.Stats, error) {
 	}
 	return ssa.Build(f, ssa.Options{
 		Flavor: cfg.Flavor, FoldCopies: fold,
-		DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
 		Scratch: sc.ssaScratch(), Obs: sc.tracer(),
 	}), nil
 }
@@ -74,10 +73,7 @@ func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats
 		ds.Standard = *ssa.DestructStandard(f)
 		tr.End(obs.PhasePhiInstantiate)
 	case New:
-		opt := core.Options{
-			Dom: st.Dom, RecordNameMap: record, Obs: tr,
-			DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver,
-		}
+		opt := core.Options{Dom: st.Dom, RecordNameMap: record, Obs: tr}
 		if csc := sc.coreScratch(); csc != nil {
 			ds.Core = *core.CoalesceScratch(f, opt, csc)
 		} else {
@@ -114,9 +110,7 @@ func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats
 // even alongside an error.
 func Allocate(f *ir.Func, cfg Config, sc *Scratch) (*regalloc.Result, error) {
 	tr := sc.tracer()
-	ra, err := regalloc.AllocateScratch(f, regalloc.Options{
-		K: cfg.RegallocK, DomSolver: cfg.DomSolver, LiveSolver: cfg.LiveSolver, Obs: tr,
-	}, sc.regallocScratch())
+	ra, err := regalloc.AllocateScratch(f, regalloc.Options{K: cfg.RegallocK, Obs: tr}, sc.regallocScratch())
 	if err != nil {
 		return ra, fmt.Errorf("regalloc k=%d: %w", cfg.RegallocK, err)
 	}

@@ -26,6 +26,15 @@ const (
 	spoolIR byte = 1 << 0 // Src is IR text, not mini-language
 )
 
+// maxSpoolField bounds one field of a record. The reader checks a length
+// against it before allocating, so a corrupt length fails the replay
+// through Err instead of panicking in make or exhausting memory; the
+// writer refuses longer fields, so every spool it writes replays. The
+// largest field the generated corpus produces is under 32 KiB
+// (closure-ladder at size 96), and coalesced accepts bodies of at most
+// 8 MiB.
+const maxSpoolField = 16 << 20
+
 // SpoolWriter appends jobs to a spool stream.
 type SpoolWriter struct {
 	w   *bufio.Writer
@@ -57,6 +66,9 @@ func (s *SpoolWriter) WriteJob(j Job) error {
 	}
 	var hdr [binary.MaxVarintLen64]byte
 	writeField := func(b string) error {
+		if len(b) > maxSpoolField {
+			return fmt.Errorf("spool field of %d bytes exceeds the %d-byte limit", len(b), maxSpoolField)
+		}
 		n := binary.PutUvarint(hdr[:], uint64(len(b)))
 		if _, err := s.w.Write(hdr[:n]); err != nil {
 			return err
@@ -145,6 +157,9 @@ func (s *SpoolSource) readJob() (Job, error) {
 				return "", io.EOF
 			}
 			return "", fmt.Errorf("field length: %w", noEOF(err))
+		}
+		if ln > maxSpoolField {
+			return "", fmt.Errorf("field length %d exceeds the %d-byte limit", ln, maxSpoolField)
 		}
 		b := make([]byte, ln)
 		if _, err := io.ReadFull(s.r, b); err != nil {

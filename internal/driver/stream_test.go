@@ -2,9 +2,11 @@ package driver_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,5 +259,30 @@ func TestSpoolTruncated(t *testing.T) {
 	driver.RunStream(context.Background(), src, driver.Config{Workers: 1}, driver.StreamOptions{}, red)
 	if src.Err() == nil {
 		t.Fatal("truncated spool replayed without error")
+	}
+}
+
+// TestSpoolCorruptLength: a record whose first field length is corrupt
+// must end the replay with an error from Err that names the record. The
+// length is checked before anything is allocated: 2⁶² would panic in
+// make, and 2⁴⁰ would exhaust memory, which recover cannot catch.
+func TestSpoolCorruptLength(t *testing.T) {
+	for _, ln := range []uint64{1 << 62, 1 << 40} {
+		data := binary.AppendUvarint([]byte("FCSPOOL1\n"), ln)
+		data = append(data, make([]byte, 21-len(data))...)
+		path := filepath.Join(t.TempDir(), "corrupt.fcs")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := driver.OpenSpool(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := driver.NewStreamStats()
+		driver.RunStream(context.Background(), src, driver.Config{Workers: 1}, driver.StreamOptions{}, red)
+		src.Close()
+		if err := src.Err(); err == nil || !strings.Contains(err.Error(), "spool record 0") {
+			t.Errorf("length %d: Err() = %v, want an error naming record 0", ln, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -379,6 +380,11 @@ func TestErrors(t *testing.T) {
 		"single pipe":         `func f() int { return 1 | 2 }`,
 		"stmt starts with op": `func f() int { * 3; return 0 }`,
 	}
+	// Two 2 MB bodies that overflow the stack unless the parser rejects
+	// them: one in the parser itself, the other in lowering, because a
+	// flat chain parses into a left-deep tree.
+	cases["million parens"] = nestedReturn(strings.Repeat("(", 1_000_000), "a", strings.Repeat(")", 1_000_000))
+	cases["million-term sum"] = nestedReturn("", "a"+strings.Repeat("+a", 999_999), "")
 	for name, src := range cases {
 		if _, err := Compile(src); err == nil {
 			t.Errorf("%s: compiled without error", name)
@@ -396,6 +402,58 @@ func TestErrorPositions(t *testing.T) {
 	if !strings.Contains(err.Error(), "2:") {
 		t.Fatalf("error should point at line 2: %v", err)
 	}
+	// A body at the nesting budget compiles; one level more fails at the
+	// token that opens the extra level.
+	for _, nc := range nestingCases {
+		if _, err := Compile(nc.body(nc.atBudget)); err != nil {
+			t.Errorf("%s at the budget: %v", nc.name, err)
+		}
+		_, err := Compile(nc.body(nc.atBudget + 1))
+		if want := fmt.Sprintf("1:%d: nesting exceeds %d levels", nc.col, maxNesting); err == nil || err.Error() != want {
+			t.Errorf("%s past the budget: got %v, want %q", nc.name, err, want)
+		}
+	}
+}
+
+// nestedReturn returns a one-line function whose body block (one
+// nesting level) returns open+operand+close; open starts at column
+// len(nestedPrefix)+1.
+func nestedReturn(open, operand, close string) string {
+	return nestedPrefix + open + operand + close + " }"
+}
+
+const nestedPrefix = "func f(a int, x []int) int { return "
+
+// nestingCases build bodies that nest n levels below the body block, one
+// per construct the budget counts. atBudget is the largest n that fits
+// in maxNesting, and col the column of the token that opens level
+// maxNesting+1.
+var nestingCases = []struct {
+	name     string
+	body     func(n int) string
+	atBudget int
+	col      int
+}{
+	{"parens", func(n int) string {
+		return nestedReturn(strings.Repeat("(", n), "a", strings.Repeat(")", n))
+	}, maxNesting - 1, len(nestedPrefix) + maxNesting},
+	{"index", func(n int) string {
+		return nestedReturn(strings.Repeat("x[", n), "0", strings.Repeat("]", n))
+	}, maxNesting - 1, len(nestedPrefix) + 2*maxNesting},
+	{"unary", func(n int) string {
+		return nestedReturn(strings.Repeat("-", n), "a", "")
+	}, maxNesting - 1, len(nestedPrefix) + maxNesting},
+	{"sum", func(n int) string {
+		return nestedReturn("", "a"+strings.Repeat("+a", n), "")
+	}, maxNesting - 1, len(nestedPrefix) + 2*maxNesting},
+	{"blocks", func(n int) string {
+		return "func f(a int) int {" + strings.Repeat("{", n) + strings.Repeat("}", n) + " return a }"
+	}, maxNesting - 1, len("func f(a int) int {") + maxNesting},
+	{"else-if", func(n int) string {
+		// The if statement sits in the body block, and each else-if is
+		// one level below the last; the last then-block is one more.
+		return "func f(a int) int { if a {}" + strings.Repeat(" else if a {}", n) + " return a }"
+	}, maxNesting - 2, len("func f(a int) int { if a {}") + (maxNesting-2)*len(" else if a {}") + len(" else if a ") + 1},
 }
 
 func TestVerifiesAndNamesPreserved(t *testing.T) {

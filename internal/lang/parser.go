@@ -1,9 +1,23 @@
 package lang
 
+// maxNesting bounds how deeply one function's syntax may nest. Parsing
+// and lowering recurse once per level, and Go cannot recover from a
+// stack overflow, so deeper input is rejected with a parse error while
+// it is parsed. A level is whatever a recursive pass descends through: a
+// block, an else-if, a parenthesis, an index bracket, a unary operator,
+// and every binary operator, because a left-associative chain a+a+…+a
+// is a tree as deep as it is long. The suite's kernels nest at most 12
+// levels, and generated programs of 4 000 statements about 100.
+const maxNesting = 1000
+
 // parser is a recursive-descent parser for the kernel language.
 type parser struct {
 	toks []token
 	i    int
+
+	// depth is the nesting level of the construct being parsed; deepest
+	// is the deepest level reached by the expression parsed last.
+	depth, deepest int
 }
 
 // Parse tokenizes and parses a source file.
@@ -53,6 +67,19 @@ func (p *parser) expect(k tokKind) (token, error) {
 		return token{}, errf(p.cur().pos, "expected %v, found %v %q", k, p.cur().kind, p.cur().text)
 	}
 	return p.next(), nil
+}
+
+// nest enters one more nesting level; pos is the token that opens it.
+func (p *parser) nest(pos Pos) error {
+	p.depth++
+	return checkNesting(pos, p.depth)
+}
+
+func checkNesting(pos Pos, level int) error {
+	if level > maxNesting {
+		return errf(pos, "nesting exceeds %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) skipSemis() {
@@ -111,6 +138,9 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.nest(lb.pos); err != nil {
+		return nil, err
+	}
 	blk := &BlockStmt{Pos: lb.pos}
 	p.skipSemis()
 	for p.cur().kind != tokRBrace {
@@ -125,6 +155,7 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 		p.skipSemis()
 	}
 	p.next() // '}'
+	p.depth--
 	return blk, nil
 }
 
@@ -213,10 +244,14 @@ func (p *parser) parseIf() (Stmt, error) {
 	if p.accept(tokElse) {
 		switch p.cur().kind {
 		case tokIf:
+			if err := p.nest(p.cur().pos); err != nil {
+				return nil, err
+			}
 			els, err := p.parseIf()
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			st.Else = els
 		case tokLBrace:
 			els, err := p.parseBlock()
@@ -319,106 +354,74 @@ func (p *parser) parseFor() (Stmt, error) {
 
 // Expression parsing, by precedence climbing.
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
 
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// precedence returns the binding power of binary operator k, from 1 (||)
+// to 5 (* / %), or 0 if k is not a binary operator.
+func precedence(k tokKind) int {
+	switch k {
+	case tokOrOr:
+		return 1
+	case tokAndAnd:
+		return 2
+	case tokEq, tokNe, tokLt, tokLe, tokGt, tokGe:
+		return 3
+	case tokPlus, tokMinus:
+		return 4
+	case tokStar, tokSlash, tokPercent:
+		return 5
 	}
-	for p.cur().kind == tokOrOr {
-		op := p.next()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinaryExpr{Pos_: op.pos, Op: tokOrOr, X: x, Y: y}
-	}
-	return x, nil
+	return 0
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokAndAnd {
-		op := p.next()
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinaryExpr{Pos_: op.pos, Op: tokAndAnd, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseCmp() (Expr, error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.cur().kind {
-		case tokEq, tokNe, tokLt, tokLe, tokGt, tokGe:
-			op := p.next()
-			y, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			x = &BinaryExpr{Pos_: op.pos, Op: op.kind, X: x, Y: y}
-		default:
-			return x, nil
-		}
-	}
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokPlus || p.cur().kind == tokMinus {
-		op := p.next()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinaryExpr{Pos_: op.pos, Op: op.kind, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
+// parseBinary parses a chain of binary operators that bind at least as
+// tightly as minPrec, left-associatively. Each operator puts the tree
+// built so far one level deeper, so the nesting check runs per operator.
+func (p *parser) parseBinary(minPrec int) (Expr, error) {
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().kind == tokStar || p.cur().kind == tokSlash || p.cur().kind == tokPercent {
+	for {
+		prec := precedence(p.cur().kind)
+		if prec < minPrec {
+			return x, nil
+		}
 		op := p.next()
-		y, err := p.parseUnary()
+		dx := p.deepest
+		y, err := p.parseBinary(prec + 1)
 		if err != nil {
+			return nil, err
+		}
+		p.deepest = max(dx, p.deepest) + 1
+		if err := checkNesting(op.pos, p.deepest); err != nil {
 			return nil, err
 		}
 		x = &BinaryExpr{Pos_: op.pos, Op: op.kind, X: x, Y: y}
 	}
-	return x, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	switch p.cur().kind {
 	case tokMinus, tokNot:
 		op := p.next()
+		if err := p.nest(op.pos); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &UnaryExpr{Pos_: op.pos, Op: op.kind, X: x}, nil
 	}
 	return p.parsePrimary()
 }
 
+// parsePrimary parses an operand. A leaf sets deepest to the current
+// level; a bracketed operand leaves the deepest level reached inside.
 func (p *parser) parsePrimary() (Expr, error) {
+	p.deepest = p.depth
 	switch p.cur().kind {
 	case tokInt:
 		t := p.next()
@@ -438,34 +441,33 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &LenExpr{Pos_: t.pos, Name: name.text}, nil
 	case tokIdent:
 		t := p.next()
-		if p.accept(tokLBrack) {
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokRBrack); err != nil {
-				return nil, err
-			}
-			return &IndexExpr{Pos_: t.pos, Name: t.text, Index: idx}, nil
+		if p.cur().kind != tokLBrack {
+			return &Ident{Pos_: t.pos, Name: t.text}, nil
 		}
-		return &Ident{Pos_: t.pos, Name: t.text}, nil
-	case tokLParen:
-		p.next()
-		x, err := p.parseExpr()
+		idx, err := p.parseBracketed(tokRBrack)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return x, nil
+		return &IndexExpr{Pos_: t.pos, Name: t.text, Index: idx}, nil
+	case tokLParen:
+		return p.parseBracketed(tokRParen)
 	}
 	return nil, errf(p.cur().pos, "unexpected %v in expression", p.cur().kind)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// parseBracketed parses an expression between the current opening token
+// and the closing token, one nesting level down.
+func (p *parser) parseBracketed(closing tokKind) (Expr, error) {
+	if err := p.nest(p.next().pos); err != nil {
+		return nil, err
 	}
-	return b
+	x, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(closing); err != nil {
+		return nil, err
+	}
+	p.depth--
+	return x, nil
 }

@@ -75,17 +75,6 @@ func TestWorklistVsRoundRobinCorpus(t *testing.T) {
 	}
 }
 
-func TestSparseVsWorklistCorpus(t *testing.T) {
-	var ssc, wsc liveness.Scratch
-	for label, f := range corpusFuncs(t) {
-		sp := liveness.ComputeSparseScratch(f, &ssc)
-		wl := liveness.ComputeScratch(f, &wsc)
-		if b := firstDiff(f, sp, wl); b != ir.NoBlock {
-			t.Fatalf("%s: sparse and worklist disagree at b%d\n%s", label, b, f)
-		}
-	}
-}
-
 // firstDiff returns the first block at which x and y disagree on whether
 // some name is live in or out, or ir.NoBlock if they agree on every name.
 func firstDiff(f *ir.Func, x, y *liveness.Info) ir.BlockID {

@@ -1,7 +1,7 @@
 package liveness
 
 // Differential tests between the two solvers: the worklist solver
-// (ComputeScratch, the default) and the retained round-robin solver
+// (ComputeScratch, the production one) and the round-robin solver
 // (ComputeRoundRobinScratch, the oracle). Live-variable analysis has a
 // unique least fixpoint, so the two must agree bit-for-bit on every
 // (block, variable) point — including irreducible loops, where visit
@@ -14,6 +14,15 @@ import (
 
 	"fastcoalesce/internal/ir"
 )
+
+// solvers lists both solvers for the tests that run each of them.
+var solvers = []struct {
+	name    string
+	compute func(*ir.Func, *Scratch) *Info
+}{
+	{"worklist", ComputeScratch},
+	{"round-robin", ComputeRoundRobinScratch},
+}
 
 // assertSameInfo compares the two solvers' results on f point by point.
 func assertSameInfo(t *testing.T, f *ir.Func, label string) {

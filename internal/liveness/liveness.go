@@ -24,23 +24,19 @@
 // iterating a set (LiveInNames, LiveOutNames) yields names in VarID
 // order.
 //
-// Three solvers compute the same (unique) least fixpoint:
+// Two solvers compute the same (unique) least fixpoint:
 //
-//   - the default predecessor-driven worklist solver (ComputeScratch):
+//   - the production predecessor-driven worklist solver (ComputeScratch):
 //     blocks are seeded once in postorder and thereafter a block is
 //     revisited only when the live-in set of one of its successors grew,
 //     in the spirit of sparse dataflow evaluation — on typical CFGs most
 //     blocks are processed once or twice;
 //   - the round-robin solver (ComputeRoundRobinScratch): full postorder
-//     sweeps until a sweep changes nothing. It is retained as the
-//     differential oracle for the other solvers and as the simplest
-//     possible reference implementation;
-//   - the sparse per-variable solver (ComputeSparseScratch, see
-//     sparse.go): walks each live (variable, block) pair upward from its
-//     uses, doing work proportional to the answer instead of to whole-CFG
-//     bitset sweeps — the winner on large CFGs with many short ranges.
+//     sweeps until a sweep changes nothing. Only the tests call it, as
+//     the differential oracle and the simplest possible reference
+//     implementation.
 //
-// Blocks unreachable from the entry keep empty sets under every solver.
+// Blocks unreachable from the entry keep empty sets under both solvers.
 //
 // Concurrency: an Info is immutable once returned and safe for concurrent
 // readers. A Scratch is a single-goroutine arena; ComputeScratch recycles
@@ -50,65 +46,12 @@
 package liveness
 
 import (
-	"fmt"
 	"math/bits"
 
 	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/reuse"
 )
-
-// Solver selects the liveness algorithm run by ComputeWith. All solvers
-// compute the identical least fixpoint; only the cost model differs.
-type Solver uint8
-
-const (
-	// Worklist is the default predecessor-driven worklist solver.
-	Worklist Solver = iota
-	// RoundRobin is the full-sweep reference solver (the differential
-	// oracle).
-	RoundRobin
-	// Sparse is the per-variable upward-walk solver from sparse.go.
-	Sparse
-)
-
-// String returns the flag spelling of the solver.
-func (s Solver) String() string {
-	switch s {
-	case Worklist:
-		return "worklist"
-	case RoundRobin:
-		return "round-robin"
-	case Sparse:
-		return "sparse"
-	}
-	return "unknown"
-}
-
-// ParseSolver parses a -livesolver flag value.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "worklist":
-		return Worklist, nil
-	case "round-robin", "roundrobin":
-		return RoundRobin, nil
-	case "sparse":
-		return Sparse, nil
-	}
-	return Worklist, fmt.Errorf("unknown liveness solver %q (want worklist, round-robin, or sparse)", s)
-}
-
-// ComputeWith runs the selected solver on sc. See the Compute*Scratch
-// functions for the aliasing rules; they apply unchanged.
-func ComputeWith(f *ir.Func, sc *Scratch, solver Solver) *Info {
-	switch solver {
-	case RoundRobin:
-		return ComputeRoundRobinScratch(f, sc)
-	case Sparse:
-		return ComputeSparseScratch(f, sc)
-	}
-	return ComputeScratch(f, sc)
-}
 
 // Info holds the per-block live sets of one function. Query it with
 // LiveIn/LiveOut, or walk a block's set with LiveInNames/LiveOutNames.
@@ -142,16 +85,13 @@ type Scratch struct {
 	queued []uint32 // fc:stamp epoch
 	epoch  uint32   // fc:epoch
 
-	pairs []varBlock // sparse solver's (bit, block) work stack
-
 	stats Stats
 }
 
 // Stats describes the work of the last Compute*Scratch call on this
 // Scratch — the observable behind the worklist solver's efficiency
 // claim. Visits/Blocks near 1.0 means most blocks reached their fixpoint
-// in one evaluation; the round-robin oracle reports sweeps × blocks, and
-// the sparse solver reports (variable, block) pair propagations. The
+// in one evaluation; the round-robin oracle reports sweeps × blocks. The
 // batch driver surfaces the totals as the
 // fastcoalesce_liveness_visits_total metric.
 type Stats struct {
@@ -258,14 +198,10 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 	return li
 }
 
-// ComputeRoundRobin runs the retained reference solver with fresh memory.
-func ComputeRoundRobin(f *ir.Func) *Info {
-	return ComputeRoundRobinScratch(f, &Scratch{})
-}
-
 // ComputeRoundRobinScratch is the pre-worklist solver: it sweeps every
 // block in postorder until a full pass finds no change. It computes the
-// same fixpoint as ComputeScratch and is kept as the differential oracle.
+// same fixpoint as ComputeScratch and is kept as the tests' differential
+// oracle.
 func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 	li, order := sc.prepare(f)
 	sc.stats = Stats{Blocks: len(order)}
@@ -315,7 +251,7 @@ func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 }
 
 // prepare resets sc for f, numbers f's global names, and computes the
-// block-local sets shared by all three solvers: empty in/out,
+// block-local sets shared by both solvers: empty in/out,
 // upward-exposed uses, and defs, all over the global names' bits. It
 // returns the Info under construction and the reachable blocks in
 // postorder; afterwards sc.state[b] != 0 marks b reachable from the

@@ -223,7 +223,7 @@ func TestLoopPhi(t *testing.T) {
 	}
 }
 
-// TestGlobalNames pins which names get a bit, under every solver. A
+// TestGlobalNames pins which names get a bit, under both solvers. A
 // block-local temporary gets none and is live nowhere, even when it is
 // redefined and used again in a second block; a φ argument with no
 // direct use gets one, because it is live out of its predecessor.
@@ -254,26 +254,26 @@ func TestGlobalNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, solver := range []Solver{Worklist, RoundRobin, Sparse} {
-		li := ComputeWith(f, &Scratch{}, solver)
+	for _, solver := range solvers {
+		li := solver.compute(f, &Scratch{})
 		if len(li.names) != 2 || li.names[0] != a || li.names[1] != b {
-			t.Fatalf("%v: global names %v, want [a b] in VarID order", solver, li.names)
+			t.Fatalf("%s: global names %v, want [a b] in VarID order", solver.name, li.names)
 		}
 		for _, v := range []ir.VarID{c, tmp, p} {
 			if li.bit[v] >= 0 {
-				t.Errorf("%v: block-local %s got bit %d", solver, f.VarName(v), li.bit[v])
+				t.Errorf("%s: block-local %s got bit %d", solver.name, f.VarName(v), li.bit[v])
 			}
 			for _, blk := range f.Blocks {
 				if li.LiveIn(blk.ID, v) || li.LiveOut(blk.ID, v) {
-					t.Errorf("%v: block-local %s live at a boundary of b%d", solver, f.VarName(v), blk.ID)
+					t.Errorf("%s: block-local %s live at a boundary of b%d", solver.name, f.VarName(v), blk.ID)
 				}
 			}
 		}
 		if !li.LiveOut(b2.ID, b) || !li.LiveOut(0, b) || !li.LiveIn(b2.ID, b) {
-			t.Errorf("%v: φ-only b must be live out of b0 and through b2", solver)
+			t.Errorf("%s: φ-only b must be live out of b0 and through b2", solver.name)
 		}
 		if li.LiveOut(b1.ID, b) || li.LiveIn(b3.ID, b) {
-			t.Errorf("%v: φ-only b must not be live out of b1 or into b3", solver)
+			t.Errorf("%s: φ-only b must not be live out of b1 or into b3", solver.name)
 		}
 		it := li.LiveOutNames(0)
 		var got []ir.VarID
@@ -281,13 +281,13 @@ func TestGlobalNames(t *testing.T) {
 			got = append(got, v)
 		}
 		if len(got) != 2 || got[0] != a || got[1] != b {
-			t.Errorf("%v: LiveOutNames(b0) = %v, want [a b]", solver, got)
+			t.Errorf("%s: LiveOutNames(b0) = %v, want [a b]", solver.name, got)
 		}
 	}
 }
 
 // TestScratchReuseAcrossSizes warms one Scratch on a large function and
-// then runs it on a small one, and the reverse, under every solver. The
+// then runs it on a small one, and the reverse, under both solvers. The
 // name -> bit table and the sets carry over between runs, so every answer
 // and the work statistics must equal a fresh Scratch's.
 func TestScratchReuseAcrossSizes(t *testing.T) {
@@ -296,23 +296,23 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	addBlockLocals(rng, large)
 	small := randomCFGWithPhis(rng, 6, 3)
 	addBlockLocals(rng, small)
-	for _, solver := range []Solver{Worklist, RoundRobin, Sparse} {
+	for _, solver := range solvers {
 		for _, seq := range [][2]*ir.Func{{large, small}, {small, large}} {
 			var sc Scratch
 			for _, f := range seq {
-				got := ComputeWith(f, &sc, solver)
+				got := solver.compute(f, &sc)
 				var fresh Scratch
-				want := ComputeWith(f, &fresh, solver)
+				want := solver.compute(f, &fresh)
 				if sc.LastStats() != fresh.LastStats() {
-					t.Errorf("%v, %d blocks after reuse: stats %+v, fresh %+v",
-						solver, len(f.Blocks), sc.LastStats(), fresh.LastStats())
+					t.Errorf("%s, %d blocks after reuse: stats %+v, fresh %+v",
+						solver.name, len(f.Blocks), sc.LastStats(), fresh.LastStats())
 				}
 				for _, b := range f.Blocks {
 					for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
 						if got.LiveIn(b.ID, v) != want.LiveIn(b.ID, v) ||
 							got.LiveOut(b.ID, v) != want.LiveOut(b.ID, v) {
-							t.Fatalf("%v, %d blocks after reuse: b%d %s differs from a fresh Scratch",
-								solver, len(f.Blocks), b.ID, f.VarName(v))
+							t.Fatalf("%s, %d blocks after reuse: b%d %s differs from a fresh Scratch",
+								solver.name, len(f.Blocks), b.ID, f.VarName(v))
 						}
 					}
 				}

@@ -146,14 +146,13 @@ func randomCFGWithPhis(rng *rand.Rand, nb, nv int) *ir.Func {
 	return f
 }
 
-// TestLivenessAgainstOracle queries every (block, name) point under all
-// three solvers, block-local names included: those get no bit, so the
-// oracle's agreement on them is what proves "no bit means not live"
-// exact.
+// TestLivenessAgainstOracle queries every (block, name) point under both
+// solvers, block-local names included: those get no bit, so the oracle's
+// agreement on them is what proves "no bit means not live" exact.
 func TestLivenessAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	points, local := 0, 0
-	var sc [3]Scratch
+	var sc [2]Scratch
 	for trial := 0; trial < 250; trial++ {
 		f := randomCFGWithPhis(rng, 3+rng.Intn(10), 2+rng.Intn(5))
 		addBlockLocals(rng, f)
@@ -161,8 +160,8 @@ func TestLivenessAgainstOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		oin, oout := oracle(f)
-		for si, solver := range []Solver{Worklist, RoundRobin, Sparse} {
-			li := ComputeWith(f, &sc[si], solver)
+		for si, solver := range solvers {
+			li := solver.compute(f, &sc[si])
 			for b := range f.Blocks {
 				bid := ir.BlockID(b)
 				for v := ir.VarID(0); int(v) < f.NumVars(); v++ {
@@ -171,12 +170,12 @@ func TestLivenessAgainstOracle(t *testing.T) {
 						local++
 					}
 					if got := li.LiveIn(bid, v); got != oin[b][v] {
-						t.Fatalf("trial %d, %v: LiveIn(b%d, %s) = %v, oracle %v\n%s",
-							trial, solver, b, f.VarName(v), got, oin[b][v], f)
+						t.Fatalf("trial %d, %s: LiveIn(b%d, %s) = %v, oracle %v\n%s",
+							trial, solver.name, b, f.VarName(v), got, oin[b][v], f)
 					}
 					if got := li.LiveOut(bid, v); got != oout[b][v] {
-						t.Fatalf("trial %d, %v: LiveOut(b%d, %s) = %v, oracle %v\n%s",
-							trial, solver, b, f.VarName(v), got, oout[b][v], f)
+						t.Fatalf("trial %d, %s: LiveOut(b%d, %s) = %v, oracle %v\n%s",
+							trial, solver.name, b, f.VarName(v), got, oout[b][v], f)
 					}
 				}
 			}

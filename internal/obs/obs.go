@@ -54,13 +54,17 @@ import (
 // PhaseRewrite.
 type Phase uint8
 
-// The phases.
+// The phases. Nothing emits PhaseDomSNCA or PhaseLivenessSparse: each
+// analysis has one solver, recorded as PhaseDom and PhaseLiveness. The
+// two names stay because the benchmark module still folds them into its
+// dom and liveness layers, and their slots keep every later phase's
+// number unchanged.
 const (
 	PhaseParse          Phase = iota // source → IR (lang or ir text)
-	PhaseDom                         // dominator tree + frontiers (CHK solver)
-	PhaseDomSNCA                     // dominator tree + frontiers (SEMI-NCA solver)
-	PhaseLiveness                    // live-variable analysis (worklist/round-robin)
-	PhaseLivenessSparse              // live-variable analysis (sparse per-variable solver)
+	PhaseDom                         // dominator tree + frontiers
+	PhaseDomSNCA                     // not emitted; see above
+	PhaseLiveness                    // live-variable analysis
+	PhaseLivenessSparse              // not emitted; see above
 	PhaseSSABuild                    // φ insertion + renaming (excl. dom/liveness sub-spans)
 	PhasePhiInstantiate              // standard φ-node instantiation (DestructStandard)
 	PhaseCoalesce1                   // step 1: union φ resources (§3.1)

@@ -45,9 +45,9 @@ func (fr Fragment) Len() int32 {
 // fall out for free: a variable's death point is the position where the
 // backward walk first sees it, and its definition (or the block entry)
 // closes the interval.
-func (sc *Scratch) build(f *ir.Func, opt Options, freq []float64) (maxPressure int) {
+func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 	nv := f.NumVars()
-	li := liveness.ComputeWith(f, &sc.live, opt.LiveSolver)
+	li := liveness.ComputeScratch(f, &sc.live)
 
 	sc.adj = reuse.Truncated(sc.adj, nv)
 	triBits := nv * (nv - 1) / 2

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"fastcoalesce/internal/bitset"
-	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
@@ -36,12 +35,6 @@ type Options struct {
 
 	// MaxRounds bounds the build/spill iteration (safety net; 0 = 32).
 	MaxRounds int
-
-	// DomSolver and LiveSolver select the substrate algorithms for the
-	// spill-cost frequencies and the interference liveness. Both are
-	// output-invariant, exactly as in driver.Config.
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
 
 	// Obs, when non-nil, records regalloc-build / regalloc-color /
 	// regalloc-spill spans per round. A nil tracer is a free no-op.
@@ -123,10 +116,10 @@ func (sc *Scratch) allocate(f *ir.Func, opt Options, rewrite spillRewriter) (*Re
 		if res.Rounds == 1 {
 			// Spill code adds instructions and names but never blocks or
 			// edges, so one frequency estimate serves every round.
-			sc.dom.RecomputeWith(f, opt.DomSolver)
+			sc.dom.Recompute(f)
 			freq = sc.dom.EstimateFrequenciesInto(&sc.freq)
 		}
-		pressure := sc.build(f, opt, freq)
+		pressure := sc.build(f, freq)
 		tr.End(obs.PhaseRegallocBuild)
 		if res.Rounds == 1 {
 			res.MaxPressure = pressure

@@ -66,38 +66,13 @@ type Options struct {
 	// so this is only for tests and measurements of the split itself.
 	KeepCriticalEdges bool
 
-	// DomSolver and LiveSolver select the substrate algorithms. The
-	// resulting SSA form is identical for every choice (both analyses
-	// have unique answers); only the cost model differs. The zero values
-	// are the defaults (dom.CHK, liveness.Worklist).
-	DomSolver  dom.Solver
-	LiveSolver liveness.Solver
-
 	// Scratch, when non-nil, supplies reusable construction memory. The
 	// resulting SSA form is identical; only allocation behavior differs.
 	Scratch *Scratch
 
 	// Obs, when non-nil, receives phase spans (liveness, dom, ssa-build).
-	// The dom/liveness spans carry solver-specific phases (dom-snca,
-	// liveness-sparse) so traces attribute time per solver. A nil tracer
-	// costs nothing: every method is a nil-receiver no-op.
+	// A nil tracer costs nothing: every method is a nil-receiver no-op.
 	Obs *obs.Tracer
-}
-
-// domPhase maps a dominator solver to its span phase.
-func domPhase(s dom.Solver) obs.Phase {
-	if s == dom.SemiNCA {
-		return obs.PhaseDomSNCA
-	}
-	return obs.PhaseDom
-}
-
-// livePhase maps a liveness solver to its span phase.
-func livePhase(s liveness.Solver) obs.Phase {
-	if s == liveness.Sparse {
-		return obs.PhaseLivenessSparse
-	}
-	return obs.PhaseLiveness
 }
 
 // Scratch holds the reusable state of one Build: the liveness and
@@ -136,8 +111,7 @@ type Stats struct {
 	SSAVars       int // total variables after renaming
 
 	// LivenessVisits is the work performed by the liveness solver
-	// (liveness.Stats.Visits): block evaluations for the dense solvers,
-	// pair propagations for the sparse one.
+	// (liveness.Stats.Visits): its block evaluations.
 	LivenessVisits int
 
 	// DomRecomputes is the number of dominator-tree computations Build
@@ -168,22 +142,20 @@ func Build(f *ir.Func, opt Options) *Stats {
 	// One liveness computation serves both strictness enforcement and
 	// pruned φ placement: the entry initializations only add definitions
 	// at the entry, which cannot extend any block's live-in set.
-	lp := livePhase(opt.LiveSolver)
-	opt.Obs.Begin(lp)
-	live := liveness.ComputeWith(f, &sc.live, opt.LiveSolver)
-	opt.Obs.End(lp)
+	opt.Obs.Begin(obs.PhaseLiveness)
+	live := liveness.ComputeScratch(f, &sc.live)
+	opt.Obs.End(obs.PhaseLiveness)
 	st.LivenessVisits = sc.live.LastStats().Visits
 	st.InitsInserted = enforceStrict(f, live)
 
-	dp := domPhase(opt.DomSolver)
-	opt.Obs.Begin(dp)
-	sc.dom.RecomputeWith(f, opt.DomSolver)
+	opt.Obs.Begin(obs.PhaseDom)
+	sc.dom.Recompute(f)
 	st.DomRecomputes = 1
 	dt := &sc.dom
 	st.Dom = dt
 	sc.df, sc.inDF = dt.FrontiersInto(sc.df, sc.inDF)
 	df := sc.df
-	opt.Obs.End(dp)
+	opt.Obs.End(obs.PhaseDom)
 	opt.Obs.Begin(obs.PhaseSSABuild)
 
 	nv := f.NumVars()
