@@ -361,35 +361,55 @@ func b() int { return 2 }
 }
 
 func TestErrors(t *testing.T) {
-	cases := map[string]string{
-		"undeclared":          `func f() int { return x }`,
-		"undeclared assign":   `func f() int { x = 1; return 0 }`,
-		"redecl":              `func f() int { var x int; var x int; return x }`,
-		"redecl param":        `func f(a int, a int) int { return a }`,
-		"array as scalar":     `func f(x []int) int { return x }`,
-		"index scalar":        `func f(x int) int { return x[0] }`,
-		"len of scalar":       `func f(x int) int { return len(x) }`,
-		"assign whole array":  `func f(x []int) int { x = 1; return 0 }`,
-		"redecl func":         `func f() int { return 0 } func f() int { return 1 }`,
-		"bad token":           `func f() int { return 1 @ 2 }`,
-		"unterminated":        `func f() int { return 1`,
-		"bad else":            `func f() int { if 1 { } else return 2 }`,
-		"empty source":        `   `,
-		"huge literal":        `func f() int { return 99999999999999999999 }`,
-		"single amp":          `func f() int { return 1 & 2 }`,
-		"single pipe":         `func f() int { return 1 | 2 }`,
-		"stmt starts with op": `func f() int { * 3; return 0 }`,
+	tooDeepThenAmp := nestedReturn(strings.Repeat("(", maxNesting+1), "a", strings.Repeat(")", maxNesting+1)) + " &"
+	cases := []struct{ name, src, want string }{
+		{"undeclared", `func f() int { return x }`, `1:23: undeclared name "x"`},
+		{"undeclared assign", `func f() int { x = 1; return 0 }`, `1:16: undeclared name "x"`},
+		{"redecl", `func f() int { var x int; var x int; return x }`, `1:27: "x" redeclared in this scope`},
+		{"redecl param", `func f(a int, a int) int { return a }`, `1:15: parameter "a" redeclared`},
+		{"array as scalar", `func f(x []int) int { return x }`, `1:30: array "x" used as a scalar`},
+		{"index scalar", `func f(x int) int { return x[0] }`, `1:28: "x" is not an array`},
+		{"len of scalar", `func f(x int) int { return len(x) }`, `1:28: len of non-array "x"`},
+		{"assign whole array", `func f(x []int) int { x = 1; return 0 }`, `1:23: cannot assign to array "x" without an index`},
+		{"redecl func", `func f() int { return 0 } func f() int { return 1 }`, `1:27: function "f" redeclared`},
+		{"bad token", `func f() int { return 1 @ 2 }`, `1:25: unexpected character "@"`},
+		{"unterminated", `func f() int { return 1`, `1:24: unexpected EOF, expected '}'`},
+		{"bad else", `func f() int { if 1 { } else return 2 }`, `1:30: expected 'if' or block after 'else'`},
+		{"empty source", `   `, `1:4: source contains no functions`},
+		{"huge literal", `func f() int { return 99999999999999999999 }`, `1:23: integer literal "99999999999999999999" out of range`},
+		{"single amp", `func f() int { return 1 & 2 }`, `1:25: unexpected character '&'`},
+		{"single pipe", `func f() int { return 1 | 2 }`, `1:25: unexpected character '|'`},
+		{"stmt starts with op", `func f() int { * 3; return 0 }`, `1:16: unexpected '*' at start of statement`},
+		{"missing name at EOF", `func f() int { return 0 } func`, `1:31: expected identifier, found EOF ""`},
+		{"bad for init", `func f(x int) int { for x = 1 { } ; return x }`, `1:31: expected ';', found '{' "{"`},
+		// Identifiers are lexed byte by byte: the first byte of a UTF-8
+		// letter may pass as a Latin-1 letter and the second not.
+		{"non-ASCII identifier", `func f() int { var é = 1; return é }`, `1:21: unexpected character "©"`},
+		{"stray high byte", "func f() int { return 0 }\n\x80", `2:1: unexpected character "\u0080"`},
+
+		// A lexical error anywhere in the source wins over a parse
+		// error before it, and a parse error over a lowering error.
+		{"parse then lex", `func f() int { return ) } @`, `1:27: unexpected character "@"`},
+		{"parse then huge literal", `func f( { } 99999999999999999999`, `1:13: integer literal "99999999999999999999" out of range`},
+		{"parse then lex later func", "func f() int { return 0 }\nfunc g() int { return ] }\nfunc h() int { return 1 | 2 }", `3:25: unexpected character '|'`},
+		{"parse at EOF then lex", "func f() int { return 0 } func\n$", `2:1: unexpected character "$"`},
+		{"lower then lex", "func f() int { break }\n\x80", `2:1: unexpected character "\u0080"`},
+		{"nesting then lex", tooDeepThenAmp, fmt.Sprintf("1:%d: unexpected character '&'", len(tooDeepThenAmp))},
+		{"lex then parse", `func f() int { return @ ) }`, `1:23: unexpected character "@"`},
+
+		// Two 2 MB bodies that overflow the stack unless the parser
+		// rejects them: one in the parser itself, the other in lowering,
+		// because a flat chain parses into a left-deep tree.
+		{"million parens", nestedReturn(strings.Repeat("(", 1_000_000), "a", strings.Repeat(")", 1_000_000)),
+			fmt.Sprintf("1:%d: nesting exceeds %d levels", len(nestedPrefix)+maxNesting, maxNesting)},
+		{"million-term sum", nestedReturn("", "a"+strings.Repeat("+a", 999_999), ""),
+			fmt.Sprintf("1:%d: nesting exceeds %d levels", len(nestedPrefix)+2*maxNesting, maxNesting)},
 	}
-	// Two 2 MB bodies that overflow the stack unless the parser rejects
-	// them: one in the parser itself, the other in lowering, because a
-	// flat chain parses into a left-deep tree.
-	cases["million parens"] = nestedReturn(strings.Repeat("(", 1_000_000), "a", strings.Repeat(")", 1_000_000))
-	cases["million-term sum"] = nestedReturn("", "a"+strings.Repeat("+a", 999_999), "")
-	for name, src := range cases {
-		if _, err := Compile(src); err == nil {
-			t.Errorf("%s: compiled without error", name)
-		} else if !strings.Contains(err.Error(), ":") {
-			t.Errorf("%s: error lacks position: %v", name, err)
+	for _, c := range cases {
+		if _, err := Compile(c.src); err == nil {
+			t.Errorf("%s: compiled without error", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
 		}
 	}
 }
