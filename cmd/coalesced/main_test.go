@@ -143,6 +143,13 @@ func TestCompileRejectsBadInput(t *testing.T) {
 		{"million-term sum", http.MethodPost, "/compile",
 			"func f(a int) int { return a" + strings.Repeat("+a", 999_999) + " }",
 			http.StatusBadRequest},
+		// IR whose block numbers once crashed the parser or made it
+		// create 10⁹ blocks; the last is sniffed as IR.
+		{"ir label past int32", http.MethodPost, "/compile?format=ir", "func f()\nb2147483648:\n\tret 0\n}", http.StatusBadRequest},
+		{"ir jmp past int32", http.MethodPost, "/compile?format=ir", "func f()\nb0:\n\tjmp b2147483648\n}", http.StatusBadRequest},
+		{"ir label past int64 wrap", http.MethodPost, "/compile?format=ir", "func ()\nb0000010000000000000:", http.StatusBadRequest},
+		{"ir label past line count", http.MethodPost, "/compile?format=ir", "func f()\nb1000000000:", http.StatusBadRequest},
+		{"sniffed ir label past line count", http.MethodPost, "/compile", "func f()\nb1000000000:", http.StatusBadRequest},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 		rr := httptest.NewRecorder()

@@ -220,15 +220,29 @@ func (f *Func) NewBlock() *Block {
 	return b
 }
 
-// NewVar creates a scalar variable with the given name.
+// NewVar creates a scalar variable with the given name; an empty name
+// becomes "v" and the variable's ID.
 func (f *Func) NewVar(name string) VarID {
 	id := VarID(len(f.VarNames))
 	if name == "" {
-		name = "v" + strconv.Itoa(int(id))
+		if int(id) < len(defaultVarNames) {
+			name = defaultVarNames[id]
+		} else {
+			name = "v" + strconv.Itoa(int(id))
+		}
 	}
 	f.VarNames = append(f.VarNames, name)
 	return id
 }
+
+// defaultVarNames holds the default names "v0"…"v4095", built once so
+// that naming a temporary allocates nothing. It is read-only after init.
+var defaultVarNames = func() (names [4096]string) {
+	for i := range names {
+		names[i] = "v" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // NewArr creates an array with the given name. Arrays listed in ArrParams
 // are backed by caller-provided storage; any other array is function-local

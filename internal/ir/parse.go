@@ -60,11 +60,13 @@ func (p *irParser) arr(name string) ArrID {
 	return id
 }
 
+// blockNum parses a block label such as "b3". The number must fit a
+// BlockID.
 func blockNum(tok string) (BlockID, bool) {
 	if !strings.HasPrefix(tok, "b") {
 		return 0, false
 	}
-	n, err := strconv.Atoi(tok[1:])
+	n, err := strconv.ParseInt(tok[1:], 10, 32)
 	if err != nil || n < 0 {
 		return 0, false
 	}
@@ -126,6 +128,12 @@ func (p *irParser) parse(src string) (*Func, error) {
 			id, ok := blockNum(strings.TrimSuffix(line, ":"))
 			if !ok {
 				return nil, p.errf("bad block label %q", line)
+			}
+			// The parser creates every block up to the label. Func.String
+			// gives each block a line of its own, so a label as large as
+			// the input's line count cannot come from printed IR.
+			if int(id) >= len(lines) {
+				return nil, p.errf("block label %q out of range for %d lines of input", line, len(lines))
 			}
 			for BlockID(len(p.f.Blocks)) <= id {
 				p.f.NewBlock()

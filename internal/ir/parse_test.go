@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -159,5 +160,30 @@ func TestParseIgnoresComments(t *testing.T) {
 	}
 	if len(f.Blocks) != 4 {
 		t.Fatal("comment handling broke block parsing")
+	}
+}
+
+// hugeBlockBodies name blocks far past what their input could hold.
+// Each once crashed Parse: the label's number wrapped to a negative
+// BlockID, or Parse created every block up to it.
+var hugeBlockBodies = []struct{ name, src, want string }{
+	{"label past int32", "func f()\nb2147483648:\n\tret 0\n}", `ir: line 2: bad block label "b2147483648:"`},
+	{"jmp past int32", "func f()\nb0:\n\tjmp b2147483648\n}", `ir: line 3: bad jmp target "b2147483648"`},
+	{"label past int64 wrap", "func ()\nb0000010000000000000:", `ir: line 2: bad block label "b0000010000000000000:"`},
+	{"label past line count", "func f()\nb1000000000:", `ir: line 2: block label "b1000000000:" out of range for 2 lines of input`},
+}
+
+func TestParseRejectsHugeBlockNumbers(t *testing.T) {
+	for _, c := range hugeBlockBodies {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := Parse(c.src)
+		runtime.ReadMemStats(&after)
+		if f != nil || err == nil || err.Error() != c.want {
+			t.Errorf("%s: Parse returned %v, %v; want error %q", c.name, f, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Parse allocated %d bytes", c.name, grew)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package lang
 
 import (
 	"fmt"
+	"strings"
 
 	"fastcoalesce/internal/ir"
 )
@@ -76,35 +77,49 @@ type symbol struct {
 	a       ir.ArrID
 }
 
+// binding is one declaration in scope. shadows is the index of the
+// binding of the same name it hides, or -1.
+type binding struct {
+	name    string
+	sym     symbol
+	shadows int32
+}
+
 type loopTargets struct {
 	cont *ir.Block // continue jumps here (loop head or latch)
 	brk  *ir.Block // break jumps here (loop exit)
 }
 
+// lowerer lowers one function. Its symbol table maps each name to its
+// innermost binding; the bindings form a stack, and marks holds the
+// stack height at each open scope, so closing a scope pops its bindings
+// and restores the ones they shadowed.
 type lowerer struct {
-	f      *ir.Func
-	bld    *ir.Builder
-	scopes []map[string]symbol
-	loops  []loopTargets
-	opt    CompileOptions
+	f     *ir.Func
+	bld   *ir.Builder
+	syms  map[string]int32
+	binds []binding
+	marks []int
+	loops []loopTargets
+	opt   CompileOptions
 }
 
 func lowerFunc(fd *FuncDecl, opt CompileOptions) (*ir.Func, error) {
-	lo := &lowerer{f: ir.NewFunc(fd.Name), opt: opt}
+	lo := &lowerer{f: ir.NewFunc(strings.Clone(fd.Name)), syms: map[string]int32{}, opt: opt}
 	lo.bld = ir.NewBuilder(lo.f)
 	lo.pushScope()
 
 	scalarIdx := 0
 	for _, p := range fd.Params {
-		if _, ok := lo.lookupLocal(p.Name); ok {
+		if lo.declaredInScope(p.Name) {
 			return nil, errf(p.Pos, "parameter %q redeclared", p.Name)
 		}
 		if p.Type == TypeArray {
-			a := lo.f.NewArr(p.Name)
+			a := lo.f.NewArr(strings.Clone(p.Name))
 			lo.f.ArrParams = append(lo.f.ArrParams, a)
 			lo.define(p.Name, symbol{isArray: true, a: a})
 		} else {
-			v := lo.f.NewVar(p.Name)
+			v := lo.f.NewVar(strings.Clone(p.Name))
 			lo.f.Params = append(lo.f.Params, v)
 			lo.bld.Param(v, scalarIdx)
 			scalarIdx++
@@ -130,23 +145,39 @@ func lowerFunc(fd *FuncDecl, opt CompileOptions) (*ir.Func, error) {
 	return lo.f, nil
 }
 
-func (lo *lowerer) pushScope() { lo.scopes = append(lo.scopes, map[string]symbol{}) }
-func (lo *lowerer) popScope()  { lo.scopes = lo.scopes[:len(lo.scopes)-1] }
+func (lo *lowerer) pushScope() { lo.marks = append(lo.marks, len(lo.binds)) }
 
-func (lo *lowerer) define(name string, s symbol) {
-	lo.scopes[len(lo.scopes)-1][name] = s
+func (lo *lowerer) popScope() {
+	mark := lo.marks[len(lo.marks)-1]
+	lo.marks = lo.marks[:len(lo.marks)-1]
+	for i := len(lo.binds) - 1; i >= mark; i-- {
+		if b := lo.binds[i]; b.shadows >= 0 {
+			lo.syms[b.name] = b.shadows
+		} else {
+			delete(lo.syms, b.name)
+		}
+	}
+	lo.binds = lo.binds[:mark]
 }
 
-func (lo *lowerer) lookupLocal(name string) (symbol, bool) {
-	s, ok := lo.scopes[len(lo.scopes)-1][name]
-	return s, ok
+func (lo *lowerer) define(name string, s symbol) {
+	shadows := int32(-1)
+	if i, ok := lo.syms[name]; ok {
+		shadows = i
+	}
+	lo.syms[name] = int32(len(lo.binds))
+	lo.binds = append(lo.binds, binding{name: name, sym: s, shadows: shadows})
+}
+
+// declaredInScope reports whether name is bound in the innermost scope.
+func (lo *lowerer) declaredInScope(name string) bool {
+	i, ok := lo.syms[name]
+	return ok && int(i) >= lo.marks[len(lo.marks)-1]
 }
 
 func (lo *lowerer) lookup(name string) (symbol, bool) {
-	for i := len(lo.scopes) - 1; i >= 0; i-- {
-		if s, ok := lo.scopes[i][name]; ok {
-			return s, true
-		}
+	if i, ok := lo.syms[name]; ok {
+		return lo.binds[i].sym, true
 	}
 	return symbol{}, false
 }
@@ -175,10 +206,10 @@ func (lo *lowerer) stmt(st Stmt) error {
 	case *BlockStmt:
 		return lo.block(s)
 	case *VarDecl:
-		if _, ok := lo.lookupLocal(s.Name); ok {
+		if lo.declaredInScope(s.Name) {
 			return errf(s.Pos, "%q redeclared in this scope", s.Name)
 		}
-		v := lo.f.NewVar(s.Name)
+		v := lo.f.NewVar(strings.Clone(s.Name))
 		if s.Init != nil {
 			if err := lo.exprInto(v, s.Init); err != nil {
 				return err
@@ -511,7 +542,8 @@ func (lo *lowerer) expr(e Expr) (ir.VarID, error) {
 	return 0, fmt.Errorf("lang: unknown expression %T", e)
 }
 
-var binOps = map[tokKind]ir.Op{
+// binOps maps the arithmetic and comparison operators to their opcodes.
+var binOps = [...]ir.Op{
 	tokPlus: ir.OpAdd, tokMinus: ir.OpSub, tokStar: ir.OpMul,
 	tokSlash: ir.OpDiv, tokPercent: ir.OpRem,
 	tokEq: ir.OpCmpEQ, tokNe: ir.OpCmpNE, tokLt: ir.OpCmpLT,

@@ -10,26 +10,43 @@ package lang
 // levels, and generated programs of 4 000 statements about 100.
 const maxNesting = 1000
 
-// parser is a recursive-descent parser for the kernel language.
+// parser is a recursive-descent parser for the kernel language. It
+// pulls tokens from the lexer as it goes, with one token of lookahead
+// for the for clause.
 type parser struct {
-	toks []token
-	i    int
+	lx     lexer
+	tok    token // the current token
+	ahead  token // the token after tok, when peeked
+	peeked bool
+
+	// lexErr is the first lexical error. The token stream ends there:
+	// the parser sees EOF from then on.
+	lexErr error
 
 	// depth is the nesting level of the construct being parsed; deepest
 	// is the deepest level reached by the expression parsed last.
 	depth, deepest int
 }
 
-// Parse tokenizes and parses a source file.
+// Parse tokenizes and parses a source file. A lexical error anywhere in
+// the source is reported in preference to a parse error before it.
 func Parse(src string) (*File, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: lexer{src: src, line: 1, col: 1}}
+	p.pull(&p.tok)
+	file, err := p.parseFile()
+	if err != nil && p.lexErr == nil {
+		p.lexErr = p.lx.drain()
 	}
-	p := &parser{toks: toks}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return file, err
+}
+
+func (p *parser) parseFile() (*File, error) {
 	file := &File{}
 	p.skipSemis()
-	for p.cur().kind != tokEOF {
+	for p.tok.kind != tokEOF {
 		fn, err := p.parseFunc()
 		if err != nil {
 			return nil, err
@@ -38,24 +55,44 @@ func Parse(src string) (*File, error) {
 		p.skipSemis()
 	}
 	if len(file.Funcs) == 0 {
-		return nil, errf(p.cur().pos, "source contains no functions")
+		return nil, errf(p.tok.pos, "source contains no functions")
 	}
 	return file, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
+// pull fills t with the next token from the lexer, or with EOF once a
+// lexical error has ended the stream.
+func (p *parser) pull(t *token) {
+	if p.lexErr == nil {
+		p.lexErr = p.lx.next(t)
+	}
+	if p.lexErr != nil {
+		*t = token{kind: tokEOF}
+	}
+}
 
+// peek returns the kind of the token after the current one.
+func (p *parser) peek() tokKind {
+	if !p.peeked {
+		p.pull(&p.ahead)
+		p.peeked = true
+	}
+	return p.ahead.kind
+}
+
+// next consumes the current token and returns it.
 func (p *parser) next() token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
+	t := p.tok
+	if p.peeked {
+		p.tok, p.peeked = p.ahead, false
+	} else {
+		p.pull(&p.tok)
 	}
 	return t
 }
 
 func (p *parser) accept(k tokKind) bool {
-	if p.cur().kind == k {
+	if p.tok.kind == k {
 		p.next()
 		return true
 	}
@@ -63,8 +100,8 @@ func (p *parser) accept(k tokKind) bool {
 }
 
 func (p *parser) expect(k tokKind) (token, error) {
-	if p.cur().kind != k {
-		return token{}, errf(p.cur().pos, "expected %v, found %v %q", k, p.cur().kind, p.cur().text)
+	if p.tok.kind != k {
+		return token{}, errf(p.tok.pos, "expected %v, found %v %q", k, p.tok.kind, p.tok.text)
 	}
 	return p.next(), nil
 }
@@ -83,7 +120,7 @@ func checkNesting(pos Pos, level int) error {
 }
 
 func (p *parser) skipSemis() {
-	for p.cur().kind == tokSemi {
+	for p.tok.kind == tokSemi {
 		p.next()
 	}
 }
@@ -101,7 +138,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		return nil, err
 	}
 	fn := &FuncDecl{Pos: kw.pos, Name: name.text}
-	for p.cur().kind != tokRParen {
+	for p.tok.kind != tokRParen {
 		if len(fn.Params) > 0 {
 			if _, err := p.expect(tokComma); err != nil {
 				return nil, err
@@ -143,9 +180,9 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	}
 	blk := &BlockStmt{Pos: lb.pos}
 	p.skipSemis()
-	for p.cur().kind != tokRBrace {
-		if p.cur().kind == tokEOF {
-			return nil, errf(p.cur().pos, "unexpected EOF, expected '}'")
+	for p.tok.kind != tokRBrace {
+		if p.tok.kind == tokEOF {
+			return nil, errf(p.tok.pos, "unexpected EOF, expected '}'")
 		}
 		st, err := p.parseStmt()
 		if err != nil {
@@ -160,7 +197,7 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
-	switch p.cur().kind {
+	switch p.tok.kind {
 	case tokVar:
 		return p.parseVarDecl()
 	case tokIf:
@@ -185,7 +222,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case tokIdent:
 		return p.parseAssign()
 	}
-	return nil, errf(p.cur().pos, "unexpected %v at start of statement", p.cur().kind)
+	return nil, errf(p.tok.pos, "unexpected %v at start of statement", p.tok.kind)
 }
 
 func (p *parser) parseVarDecl() (Stmt, error) {
@@ -242,9 +279,9 @@ func (p *parser) parseIf() (Stmt, error) {
 	}
 	st := &IfStmt{Pos: kw.pos, Cond: cond, Then: then}
 	if p.accept(tokElse) {
-		switch p.cur().kind {
+		switch p.tok.kind {
 		case tokIf:
-			if err := p.nest(p.cur().pos); err != nil {
+			if err := p.nest(p.tok.pos); err != nil {
 				return nil, err
 			}
 			els, err := p.parseIf()
@@ -260,7 +297,7 @@ func (p *parser) parseIf() (Stmt, error) {
 			}
 			st.Else = els
 		default:
-			return nil, errf(p.cur().pos, "expected 'if' or block after 'else'")
+			return nil, errf(p.tok.pos, "expected 'if' or block after 'else'")
 		}
 	}
 	return st, nil
@@ -287,7 +324,7 @@ func (p *parser) parseWhile() (Stmt, error) {
 func (p *parser) parseFor() (Stmt, error) {
 	kw := p.next()
 	st := &ForStmt{Pos: kw.pos}
-	if p.cur().kind == tokLBrace {
+	if p.tok.kind == tokLBrace {
 		body, err := p.parseBlock()
 		if err != nil {
 			return nil, err
@@ -297,8 +334,8 @@ func (p *parser) parseFor() (Stmt, error) {
 	}
 
 	// Disambiguate: an init clause is "var ..." or "lvalue = ...".
-	isInit := p.cur().kind == tokVar || p.cur().kind == tokSemi ||
-		(p.cur().kind == tokIdent && (p.peek().kind == tokAssign || p.peek().kind == tokLBrack))
+	isInit := p.tok.kind == tokVar || p.tok.kind == tokSemi ||
+		(p.tok.kind == tokIdent && (p.peek() == tokAssign || p.peek() == tokLBrack))
 	if !isInit {
 		cond, err := p.parseExpr()
 		if err != nil {
@@ -313,9 +350,9 @@ func (p *parser) parseFor() (Stmt, error) {
 		return st, nil
 	}
 
-	if p.cur().kind != tokSemi {
+	if p.tok.kind != tokSemi {
 		var err error
-		if p.cur().kind == tokVar {
+		if p.tok.kind == tokVar {
 			st.Init, err = p.parseVarDecl()
 		} else {
 			st.Init, err = p.parseAssign()
@@ -327,7 +364,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if p.cur().kind != tokSemi {
+	if p.tok.kind != tokSemi {
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -337,7 +374,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if p.cur().kind != tokLBrace {
+	if p.tok.kind != tokLBrace {
 		post, err := p.parseAssign()
 		if err != nil {
 			return nil, err
@@ -383,7 +420,7 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		prec := precedence(p.cur().kind)
+		prec := precedence(p.tok.kind)
 		if prec < minPrec {
 			return x, nil
 		}
@@ -402,7 +439,7 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	switch p.cur().kind {
+	switch p.tok.kind {
 	case tokMinus, tokNot:
 		op := p.next()
 		if err := p.nest(op.pos); err != nil {
@@ -422,7 +459,7 @@ func (p *parser) parseUnary() (Expr, error) {
 // level; a bracketed operand leaves the deepest level reached inside.
 func (p *parser) parsePrimary() (Expr, error) {
 	p.deepest = p.depth
-	switch p.cur().kind {
+	switch p.tok.kind {
 	case tokInt:
 		t := p.next()
 		return &IntLit{Pos_: t.pos, Val: t.val}, nil
@@ -441,7 +478,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &LenExpr{Pos_: t.pos, Name: name.text}, nil
 	case tokIdent:
 		t := p.next()
-		if p.cur().kind != tokLBrack {
+		if p.tok.kind != tokLBrack {
 			return &Ident{Pos_: t.pos, Name: t.text}, nil
 		}
 		idx, err := p.parseBracketed(tokRBrack)
@@ -452,7 +489,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokLParen:
 		return p.parseBracketed(tokRParen)
 	}
-	return nil, errf(p.cur().pos, "unexpected %v in expression", p.cur().kind)
+	return nil, errf(p.tok.pos, "unexpected %v in expression", p.tok.kind)
 }
 
 // parseBracketed parses an expression between the current opening token

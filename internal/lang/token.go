@@ -70,12 +70,6 @@ func (k tokKind) String() string {
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-var keywords = map[string]tokKind{
-	"func": tokFunc, "var": tokVar, "if": tokIf, "else": tokElse,
-	"for": tokFor, "while": tokWhile, "return": tokReturn, "len": tokLen,
-	"break": tokBreak, "continue": tokContinue, "int": tokKwInt,
-}
-
 // Pos is a source position.
 type Pos struct {
 	Line, Col int
@@ -99,6 +93,8 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// errf builds a positioned compile error. Hot paths such as lexer.next
+// call it only on their way out of a failing compile.
 func errf(pos Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)} // fc:lint-ok cold: a failing compile builds one error
 }
