@@ -234,6 +234,24 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestBuilderArgsDoNotOverlap checks that the argument lists the
+// Builder carves from one chunk stay apart when a pass appends to one.
+func TestBuilderArgsDoNotOverlap(t *testing.T) {
+	f := NewFunc("args")
+	a, b, c := f.NewVar("a"), f.NewVar("b"), f.NewVar("c")
+	bld := NewBuilder(f)
+	bld.Copy(a, b)
+	bld.Binop(OpAdd, c, a, b)
+	first, second := &f.Blocks[0].Instrs[0], &f.Blocks[0].Instrs[1]
+	if cap(first.Args) != len(first.Args) {
+		t.Fatalf("carved Args has cap %d, len %d", cap(first.Args), len(first.Args))
+	}
+	first.Args = append(first.Args, c)
+	if second.Args[0] != a || second.Args[1] != b {
+		t.Fatalf("appending to one instruction's Args rewrote the next: %v", second.Args)
+	}
+}
+
 func TestCounts(t *testing.T) {
 	f, _, y, _ := buildDiamond(t)
 	if got := f.CountCopies(); got != 0 {
