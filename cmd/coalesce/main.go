@@ -429,7 +429,6 @@ func runBatch(w io.Writer, dir string, cfg driver.Config, stats bool, cachemb in
 	}
 	cfg.Obs = rec
 	cfg.Cache = buildCache(cachemb, rec)
-	cfg.Revalidate = cfg.Check != analysis.None
 
 	results, snap := driver.Run(batchJobs, cfg)
 	bad, findings := 0, 0

@@ -99,12 +99,11 @@ func realMain() error {
 	}
 	pool := driver.NewShardPool(driver.ShardConfig{
 		Config: driver.Config{
-			Algo:       algo,
-			Flavor:     fl,
-			Check:      check,
-			Revalidate: check != analysis.None,
-			Cache:      c,
-			Obs:        rec,
+			Algo:   algo,
+			Flavor: fl,
+			Check:  check,
+			Cache:  c,
+			Obs:    rec,
 		},
 		Shards: *shards,
 		Queue:  *queue,

@@ -12,18 +12,15 @@
 //	experiments -pressure       # register-pressure sweep: all pipelines allocated at k=4/8/16/32
 //	experiments -throughput     # batch-compilation throughput study
 //	experiments -audit          # checker-overhead study (internal/analysis)
-//	experiments -traceoverhead  # observability-overhead study (internal/obs)
 //	experiments -corpus         # streamed-corpus sweep: 10⁶ generated functions
 //	                            # per pipeline through the bounded-memory engine
 //	experiments -corpus -n 1000000 -o BENCH_10.json -label BENCH_10
-//	experiments -benchjson -o BENCH_4.json   # machine-readable perf baseline
 //	experiments -cpuprofile cpu.out -table 2 # pprof any study
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -34,7 +31,6 @@ import (
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/lang"
-	"fastcoalesce/internal/obs"
 )
 
 func main() {
@@ -56,7 +52,6 @@ func realMain() (err error) {
 	alloc := flag.Int("alloc", 0, "register count for -corpus: allocate every streamed function with this many registers (0 = no allocation)")
 	throughput := flag.Bool("throughput", false, "run the batch-compilation throughput study instead")
 	audit := flag.Bool("audit", false, "run the checker-overhead study instead")
-	traceOverhead := flag.Bool("traceoverhead", false, "run the observability-overhead study instead")
 	checkName := flag.String("check", "none", "audit level for driver-based studies: none | fast | full")
 	corpus := flag.Bool("corpus", false, "run the streamed-corpus sweep instead (bounded-memory engine, all four pipelines)")
 	corpusN := flag.Int64("n", 1_000_000, "corpus size per pipeline for -corpus")
@@ -68,9 +63,8 @@ func realMain() (err error) {
 	spotCheck := flag.Int("spotcheck", 5, "differential samples per pipeline replayed through the batch path for -corpus (0 = off)")
 	schedN := flag.Int64("schedn", 2048, "scheduler-microbenchmark corpus size for -corpus (0 = skip)")
 	memcap := flag.Int("memcap", 0, "fail -corpus if peak heap exceeds this many MiB (0 = no cap)")
-	benchjson := flag.Bool("benchjson", false, "emit the machine-readable perf baseline (BENCH_*.json) instead")
-	label := flag.String("label", "BENCH_3", "baseline label recorded in the -benchjson report")
-	out := flag.String("o", "", "write -benchjson output to this file (default stdout)")
+	label := flag.String("label", "BENCH_3", "baseline label recorded in the -corpus report")
+	out := flag.String("o", "", "write the -corpus report (BENCH_*.json schema) to this file (default: none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -113,8 +107,6 @@ func realMain() (err error) {
 			spotCheck: *spotCheck, schedN: *schedN, memcapMiB: *memcap,
 			label: *label, out: *out,
 		})
-	case *benchjson:
-		return runBenchJSON(*label, *repeat, *out)
 	case *scaling:
 		return runScaling()
 	case *pressure:
@@ -123,8 +115,6 @@ func realMain() (err error) {
 		return runThroughput(*repeat, level)
 	case *audit:
 		return runAudit(*repeat)
-	case *traceOverhead:
-		return runTraceOverhead(*repeat)
 	case *ext:
 		rows, err := bench.TableExt(bench.Workloads())
 		if err != nil {
@@ -424,58 +414,6 @@ func runAudit(repeat int) error {
 	return nil
 }
 
-// runTraceOverhead measures what the observability layer (internal/obs)
-// costs the batch, workers pinned to 1 for attribution: recorder off
-// (the production default), recorder live (per-phase histograms plus
-// ring-buffered events), and recorder streaming every span as JSONL.
-// The JSONL sink writes to io.Discard so the row isolates encoding cost
-// from disk latency. A fresh recorder per batch keeps rings comparable.
-func runTraceOverhead(repeat int) error {
-	jobs := studyJobs(60)
-
-	fmt.Printf("Trace-overhead study: %d functions per batch, New pipeline, workers=1, best of %d\n", len(jobs), repeat)
-	fmt.Println("(overhead = instrumented batch wall time / recorder-off batch wall time)")
-	fmt.Println()
-	fmt.Printf("%16s %14s %9s %10s\n", "config", "wall", "ovh", "events")
-
-	type config struct {
-		name string
-		mk   func() *obs.Recorder
-	}
-	configs := []config{
-		{"off", func() *obs.Recorder { return nil }},
-		{"recorder", func() *obs.Recorder { return obs.NewRecorder(obs.Options{}) }},
-		{"recorder+jsonl", func() *obs.Recorder { return obs.NewRecorder(obs.Options{Trace: io.Discard}) }},
-	}
-	base := time.Duration(0)
-	for _, c := range configs {
-		var best time.Duration
-		var events int64
-		for rep := 0; rep < repeat; rep++ {
-			rec := c.mk()
-			results, snap := driver.Run(jobs, driver.Config{Algo: driver.New, Workers: 1, Obs: rec})
-			for _, r := range results {
-				if r.Err != nil {
-					return r.Err
-				}
-			}
-			if rep == 0 || snap.Wall < best {
-				best = snap.Wall
-				events = int64(len(rec.Events())) + rec.Dropped()
-			}
-			if err := rec.Close(); err != nil {
-				return err
-			}
-		}
-		if base == 0 {
-			base = best
-		}
-		fmt.Printf("%16s %14v %8.2fx %10d\n",
-			c.name, best.Round(time.Microsecond), float64(best)/float64(base), events)
-	}
-	return nil
-}
-
 // corpusConfig carries the -corpus flags.
 type corpusConfig struct {
 	n          int64
@@ -553,30 +491,4 @@ func runCorpus(c corpusConfig) error {
 	}
 	fmt.Printf("wrote %s\n", c.out)
 	return nil
-}
-
-// runBenchJSON regenerates the committed performance baseline: the
-// workload suite cold under all four pipelines and warm under New, the
-// hot-path micro measurements, and the scaling study, as one JSON
-// document. Committing the output (BENCH_<pr>.json) gives the repo a
-// perf trajectory reviewable across PRs; see EXPERIMENTS.md
-// "Performance baseline".
-func runBenchJSON(label string, repeat int, out string) error {
-	rep, err := bench.RunBenchJSON(label, repeat)
-	if err != nil {
-		return err
-	}
-	data, err := rep.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	if out == "" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(out, data, 0o644)
-	}
-	if err != nil && out != "" {
-		return fmt.Errorf("writing %s: %w", out, err)
-	}
-	return err
 }

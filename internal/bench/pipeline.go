@@ -39,7 +39,6 @@ type PipelineResult struct {
 	// all pipelines — the span the paper's O(n α(n)) claim covers.
 	PhaseDuration time.Duration
 	AllocBytes    int64 // heap allocated between SSA build and final rewrite
-	AllocObjects  int64 // heap objects allocated over the same span
 	StaticCopies  int
 	SSAStats      *ssa.Stats
 
@@ -78,7 +77,6 @@ func RunPipeline(f *ir.Func, algo Algo) *PipelineResult {
 	res.Duration = time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	res.AllocBytes = int64(ms1.TotalAlloc - ms0.TotalAlloc)
-	res.AllocObjects = int64(ms1.Mallocs - ms0.Mallocs)
 	res.Func = g
 	res.StaticCopies = g.CountCopies()
 	res.SSAStats = st

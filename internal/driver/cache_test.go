@@ -50,7 +50,6 @@ func TestCachedMatchesFreshUnderCheck(t *testing.T) {
 	cfg := driver.Config{Algo: driver.New, Workers: 4, Check: analysis.Full}
 	fresh, fsnap := driver.Run(jobs, cfg)
 	cfg.Cache = cache.New(cache.Config{})
-	cfg.Revalidate = true
 	driver.Run(jobs, cfg) // fill
 	warm, wsnap := driver.Run(jobs, cfg)
 	if fsnap.Errors != 0 || wsnap.Errors != 0 {
@@ -100,7 +99,7 @@ func f(n int) int {
 	c.Put(key, &cache.Entry{Text: []byte("not the real output\n")})
 
 	results, snap := driver.Run([]driver.Job{{Name: "poisoned", Src: src}},
-		driver.Config{Algo: driver.New, Workers: 1, Cache: c, Revalidate: true})
+		driver.Config{Algo: driver.New, Workers: 1, Cache: c, Check: analysis.Fast})
 	if snap.Errors != 1 {
 		t.Fatalf("errors = %d, want 1 (revalidation mismatch)", snap.Errors)
 	}
@@ -110,7 +109,7 @@ func f(n int) int {
 
 	// Same setup without the poison: revalidation passes and marks it.
 	c2 := cache.New(cache.Config{})
-	cfg := driver.Config{Algo: driver.New, Workers: 1, Cache: c2, Revalidate: true}
+	cfg := driver.Config{Algo: driver.New, Workers: 1, Cache: c2, Check: analysis.Fast}
 	driver.Run([]driver.Job{{Src: src}}, cfg) // fill
 	results, snap = driver.Run([]driver.Job{{Src: src}}, cfg)
 	if snap.Errors != 0 || !results[0].Revalidated || !results[0].Cached {

@@ -132,9 +132,10 @@ type Result struct {
 	// phase durations zeroed (no pipeline work ran) except Parse.
 	Cached bool
 
-	// Revalidated marks a cache hit that was recompiled anyway
-	// (Config.Revalidate) and byte-compared against the cached entry; a
-	// mismatch surfaces as Err. Func is then the fresh, private copy.
+	// Revalidated marks a cache hit that was recompiled anyway (an
+	// audited job, Config.Check) and byte-compared against the cached
+	// entry; a mismatch surfaces as Err. Func is then the fresh, private
+	// copy.
 	Revalidated bool
 
 	// Report holds the audit findings when Config.Check is enabled (nil
@@ -157,7 +158,10 @@ type Config struct {
 	// Check audits every job with internal/analysis at the given level.
 	// The SSA form is snapshotted before destruction, the pipeline records
 	// its name map, and the audit result lands in Result.Report and the
-	// Snapshot's check counters.
+	// Snapshot's check counters. An audited job also never trusts the
+	// cache: a hit is compiled anyway and byte-compared against the
+	// entry (a cheap translation validation of the cache itself), and a
+	// mismatch is a job error.
 	Check analysis.Level
 
 	// Obs, when non-nil, turns on observability: each worker gets a phase
@@ -177,13 +181,6 @@ type Config struct {
 	// cache with a private clone. A nil cache always misses for free.
 	Cache *cache.Cache
 
-	// Revalidate forces cache hits through the full pipeline anyway and
-	// byte-compares the fresh output against the cached entry (a cheap
-	// translation validation of the cache itself); a mismatch is a job
-	// error. cmd front ends enable this when -check is on so audits
-	// never trust a stored result.
-	Revalidate bool
-
 	// RegallocK, when positive, runs the register allocator over every
 	// pipeline's coalesced output with K registers: the function is
 	// rewritten with spill code, the coloring is verified against
@@ -195,6 +192,14 @@ type Config struct {
 	// fp is the cache fingerprint, resolved once per run (runStream,
 	// ShardPool) so the hot path never rebuilds the string.
 	fp string
+}
+
+// cacheKey appends the configuration fingerprint and f's canonical text
+// to buf and hashes them into f's content address. It returns the grown
+// buffer so the caller can reuse it for the next key.
+func (cfg *Config) cacheKey(f *ir.Func, buf []byte) (cache.Key, []byte) {
+	buf = f.AppendText(append(buf, cfg.fp...))
+	return cache.Sum(buf), buf
 }
 
 // fingerprint returns the configuration bytes mixed into every cache
@@ -275,6 +280,31 @@ type sliceReducer []Result
 
 func (s sliceReducer) Reduce(r *Result) { s[r.Index] = *r }
 
+// load materializes a job's input function: a prebuilt Func as is
+// (shared with the caller, so it must be cloned before it is compiled),
+// IR text parsed, or kernel-language source compiled.
+func load(j Job) (*ir.Func, error) {
+	switch {
+	case j.Func != nil:
+		return j.Func, nil
+	case j.IR:
+		return ir.Parse(j.Src)
+	default:
+		return lang.CompileOne(j.Src)
+	}
+}
+
+// fromCache answers res from a cache entry: the entry's shared output
+// and the metrics recorded when it was filled, keeping res's parse time.
+func fromCache(res *Result, ent *cache.Entry) {
+	res.Func = ent.Func
+	res.Cached = true
+	if fm, ok := ent.Meta.(FuncMetrics); ok {
+		fm.Parse = res.Metrics.Parse
+		res.Metrics = fm
+	}
+}
+
 // compileOne runs one job through the configured pipeline on the
 // worker's scratch. The scratch also carries the worker's tracer; with
 // observability off (nil tracer) every span call below is a free no-op.
@@ -291,21 +321,9 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 	res := Result{Index: idx, Name: j.Name}
 	t0 := time.Now()
 	tr.Begin(obs.PhaseParse)
-	var f *ir.Func
-	var err error
-	owned := true // f is private; prebuilt jobs defer the clone to the miss path
-	switch {
-	case j.Func != nil:
-		if cfg.Cache != nil {
-			f = j.Func // canonicalize in place; clone only if we must compile
-			owned = false
-		} else {
-			f = j.Func.Clone()
-		}
-	case j.IR:
-		f, err = ir.Parse(j.Src)
-	default:
-		f, err = lang.CompileOne(j.Src)
+	f, err := load(j)
+	if j.Func != nil && cfg.Cache == nil {
+		f = f.Clone() // with a cache, a prebuilt job is cloned only on a miss
 	}
 	tr.End(obs.PhaseParse)
 	if err != nil {
@@ -320,8 +338,8 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 
 	// The cache fast path: hash the canonical input text (plus the
 	// configuration fingerprint) in a reused buffer and look it up. A
-	// hit is the whole compile — unless Revalidate insists on earning
-	// it again.
+	// hit is the whole compile — unless an audit insists on earning it
+	// again.
 	var key cache.Key
 	var hitEnt *cache.Entry
 	if cfg.Cache != nil {
@@ -329,30 +347,19 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 		if j.key != nil {
 			key = *j.key
 		} else {
-			if cfg.fp == "" {
-				cfg.fp = cfg.fingerprint()
-			}
-			buf := append(sc.canonBuf(), cfg.fp...)
-			buf = f.AppendText(buf)
+			var buf []byte
+			key, buf = cfg.cacheKey(f, sc.canonBuf())
 			sc.storeCanon(buf)
-			key = cache.Sum(buf)
 		}
 		var ok bool
 		hitEnt, ok = cfg.Cache.Get(key)
 		tr.End(obs.PhaseCache)
-		if ok && !cfg.Revalidate {
-			res.Func = hitEnt.Func
-			res.Cached = true
-			if fm, isFM := hitEnt.Meta.(FuncMetrics); isFM {
-				parse := m.Parse
-				res.Metrics = fm
-				res.Metrics.Parse = parse
-			}
+		if ok && cfg.Check == analysis.None {
+			fromCache(&res, hitEnt)
 			return res
 		}
-		if !owned {
+		if j.Func != nil {
 			f = j.Func.Clone()
-			owned = true
 		}
 	}
 

@@ -62,7 +62,7 @@ type Snapshot struct {
 	CheckFindings int64 // diagnostics across those jobs
 
 	CacheHits   int64 // jobs served from the content-addressed cache
-	Revalidated int64 // cache hits recompiled and byte-compared (Config.Revalidate)
+	Revalidated int64 // cache hits recompiled and byte-compared (audited jobs, Config.Check)
 
 	AllocBytes int64
 

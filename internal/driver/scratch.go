@@ -16,9 +16,9 @@ import (
 //
 // A Scratch belongs to one goroutine. Under Config.NoScratch the
 // compilation memory is withheld from the passes (every compile
-// allocates cold) but the tracer still rides along, so the allocation
-// experiments and the trace-overhead study compose. A nil *Scratch is
-// also valid and means cold with no tracer.
+// allocates cold) but the tracer still rides along, so a cold run can
+// be traced too. A nil *Scratch is also valid and means cold with no
+// tracer.
 type Scratch struct {
 	cold bool        // Config.NoScratch: hand the passes nil scratches
 	obs  *obs.Tracer // per-worker tracer; nil when observability is off

@@ -2,14 +2,17 @@ package driver_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/cache"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/obs"
+	"fastcoalesce/internal/ssa"
 )
 
 // TestShardPoolMatchesRun submits the kernel suite through the shard
@@ -165,6 +168,42 @@ func TestShardPoolCacheFastPath(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits < int64(len(jobs)) {
 		t.Errorf("cache hits = %d, want >= %d", st.Hits, len(jobs))
+	}
+}
+
+// TestShardPoolRevalidatesUnderCheck checks that an audited pool never
+// serves a cache entry unchecked: a resubmitted kernel is recompiled
+// and byte-compared against its entry, and a poisoned entry under a
+// real key fails the job instead of being returned.
+func TestShardPoolRevalidatesUnderCheck(t *testing.T) {
+	jobs := kernelJobs(t)
+	c := cache.New(cache.Config{})
+	pool := driver.NewShardPool(driver.ShardConfig{
+		Config: driver.Config{Algo: driver.New, Check: analysis.Fast, Cache: c},
+		Shards: 2,
+	})
+	defer pool.Close()
+	var res driver.Result
+	for round := 0; round < 2; round++ {
+		var err error
+		if res, err = pool.Submit(jobs[0]); err != nil || res.Err != nil {
+			t.Fatalf("round %d %s: %v / %v", round, jobs[0].Name, err, res.Err)
+		}
+	}
+	if !res.Cached || !res.Revalidated {
+		t.Errorf("resubmitted %s: cached=%v revalidated=%v, want both",
+			jobs[0].Name, res.Cached, res.Revalidated)
+	}
+
+	poisoned := jobs[1]
+	c.Put(cacheKeyFor(t, poisoned.Src, driver.New, ssa.Pruned),
+		&cache.Entry{Text: []byte("not the real output\n")})
+	res, err := pool.Submit(poisoned)
+	if err != nil {
+		t.Fatalf("submit %s: %v", poisoned.Name, err)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "cache revalidation") {
+		t.Fatalf("poisoned %s: err = %v, want a cache revalidation mismatch", poisoned.Name, res.Err)
 	}
 }
 

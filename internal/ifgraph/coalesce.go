@@ -86,17 +86,6 @@ func (cs *CoalesceStats) TotalMatrixBytes() int64 {
 	return n
 }
 
-// PeakMatrixBytes returns the largest single-pass matrix allocation.
-func (cs *CoalesceStats) PeakMatrixBytes() int64 {
-	var n int64
-	for _, p := range cs.Passes {
-		if p.MatrixBytes > n {
-			n = p.MatrixBytes
-		}
-	}
-	return n
-}
-
 // Options configures Coalesce.
 type Options struct {
 	// Improved selects the paper's §4.1 variant (Briggs*): while the

@@ -131,9 +131,6 @@ type Instr struct {
 	Arr   ArrID   // array operand for OpALoad/OpAStore/OpALen
 }
 
-// IsCopy reports whether the instruction is a variable-to-variable copy.
-func (in *Instr) IsCopy() bool { return in.Op == OpCopy }
-
 // Block is a basic block: a φ-node prefix, straight-line code, and a
 // terminator, with explicit CFG edges.
 type Block struct {

@@ -120,33 +120,10 @@ func (s *vnState) refresh() {
 	clear(s.table)
 }
 
-// ValueNumber performs one dominator-tree walk of value numbering over f,
-// which must be in SSA form, and returns the number of changes made.
-//
-// Every variable gets a leader — an earlier SSA name (or itself) holding
-// the same value. Uses are rewritten to leaders; constant operands fold;
-// algebraic identities (x+0, x*1, x/1, x-0) simplify to an operand; pure
-// expressions already computed on the dominating path become copies of
-// the earlier result; φ-nodes whose incoming values all lead to one name
-// collapse to copies. Dead-code elimination afterwards sweeps up the
-// copies this leaves behind.
-func ValueNumber(f *ir.Func, st *Stats) int {
-	if st == nil {
-		st = &Stats{}
-	}
-	s := newVNState(f, st)
-	s.walk(f.Entry)
-
-	// φ-nodes converted to copies must leave the φ prefix. The copy's
-	// source dominates the block strictly (it dominates every
-	// predecessor), so no φ in this block can redefine it and reading it
-	// after the prefix is equivalent.
-	for _, b := range f.Blocks {
-		repartitionPhiPrefix(b)
-	}
-	return s.changes
-}
-
+// repartitionPhiPrefix moves the φ-nodes a walk converted to copies out
+// of b's φ prefix. The copy's source dominates the block strictly (it
+// dominates every predecessor), so no φ in this block can redefine it and
+// reading it after the prefix is equivalent.
 func repartitionPhiPrefix(b *ir.Block) {
 	firstNonPhi := -1
 	moved := false
@@ -175,6 +152,16 @@ func repartitionPhiPrefix(b *ir.Block) {
 	b.Instrs = append(phis, rest...)
 }
 
+// walk performs one dominator-tree walk of value numbering from b,
+// counting the changes it makes in s.changes.
+//
+// Every variable gets a leader — an earlier SSA name (or itself) holding
+// the same value. Uses are rewritten to leaders; constant operands fold;
+// algebraic identities (x+0, x*1, x/1, x-0) simplify to an operand; pure
+// expressions already computed on the dominating path become copies of
+// the earlier result; φ-nodes whose incoming values all lead to one name
+// collapse to copies. Dead-code elimination afterwards sweeps up the
+// copies this leaves behind.
 func (s *vnState) walk(b ir.BlockID) {
 	blk := s.f.Blocks[b]
 	var scope []exprKey

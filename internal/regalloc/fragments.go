@@ -6,30 +6,6 @@ import (
 	"fastcoalesce/internal/reuse"
 )
 
-// Fragment is one maximal live interval of a variable within a block —
-// the per-block pieces a live range decomposes into (the live-set shape
-// of spidir's live_set, and the granularity "Fast Copy Coalescing" §2
-// identifies live ranges at). From is the index of the defining
-// instruction, or -1 when the variable is live-in to the block; To is
-// the index of the last instruction using it, or len(Instrs) when it is
-// live-out. A dead definition yields From == To.
-type Fragment struct {
-	Var   ir.VarID
-	Block ir.BlockID
-	From  int32
-	To    int32
-}
-
-// Len returns the fragment's length in instructions: 0 for a dead
-// definition, 1 for a value consumed by the next instruction, and the
-// block-spanning distance for live-in/live-out pieces.
-func (fr Fragment) Len() int32 {
-	if fr.From < 0 {
-		return fr.To + 1
-	}
-	return fr.To - fr.From
-}
-
 // build computes liveness, the live-range fragments, the interference
 // graph, and the spill costs of f, weighted by the block frequencies
 // freq, in one combined backward walk, reusing sc's memory. It returns
@@ -59,7 +35,6 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 	}
 	death := reuse.Slice(sc.death, nv)
 	sc.death = death
-	sc.frags = sc.frags[:0]
 	sc.fragCount = reuse.Zeroed(sc.fragCount, nv)
 	sc.fragLen = reuse.Zeroed(sc.fragLen, nv)
 
@@ -92,7 +67,7 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 					}
 				}
 				if p := livePos[d]; p >= 0 {
-					sc.pushFrag(d, b.ID, int32(i), death[d])
+					sc.pushFrag(d, int32(i), death[d])
 					last := list[len(list)-1]
 					list[p] = last
 					livePos[last] = p
@@ -103,7 +78,7 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 					// a register at the definition point (Chaitin's clobber
 					// rule — the edges above keep it), as a zero-length
 					// fragment.
-					sc.pushFrag(d, b.ID, int32(i), int32(i))
+					sc.pushFrag(d, int32(i), int32(i))
 				}
 			}
 			for _, a := range in.Args {
@@ -119,7 +94,7 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 		}
 		// Whatever survived the walk is live-in to b.
 		for _, v := range list {
-			sc.pushFrag(v, b.ID, -1, death[v])
+			sc.pushFrag(v, -1, death[v])
 			livePos[v] = -1
 		}
 		sc.liveList = list[:0]
@@ -155,10 +130,13 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 	return maxPressure
 }
 
-// pushFrag records one fragment and folds it into the per-variable
-// aggregates the spill heuristics read.
-func (sc *Scratch) pushFrag(v ir.VarID, b ir.BlockID, from, to int32) {
-	sc.frags = append(sc.frags, Fragment{Var: v, Block: b, From: from, To: to})
+// pushFrag folds one fragment of v into the per-variable aggregates the
+// spill heuristics read. A fragment is one maximal live interval of v
+// within a block: from is the index of the defining instruction, or -1
+// when v is live-in to the block; to is the index of the last
+// instruction using it, or len(Instrs) when it is live-out. A dead
+// definition yields from == to, a fragment of length 0.
+func (sc *Scratch) pushFrag(v ir.VarID, from, to int32) {
 	sc.fragCount[v]++
 	ln := to - from
 	if from < 0 {

@@ -66,8 +66,6 @@ type Result struct {
 	// variables) of the input, measured on the first round — before any
 	// spill code changed the code.
 	MaxPressure int
-	// Fragments is the number of live-range fragments in the final code.
-	Fragments int
 	// SpillCost is the total frequency-weighted cost of the spilled
 	// ranges (the objective the candidate heuristic minimizes).
 	SpillCost float64
@@ -293,7 +291,6 @@ func (sc *Scratch) finish(f *ir.Func, res *Result) {
 	}
 	res.Colors = colors
 	res.ColorsUsed = used
-	res.Fragments = len(sc.frags)
 }
 
 // VerifyAllocation checks that colors is a proper coloring of f's live

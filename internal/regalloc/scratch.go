@@ -50,9 +50,8 @@ type Scratch struct {
 	livePos  []int32
 	death    []int32
 
-	// Live-range fragments and their per-variable aggregates (count and
-	// total length), recorded by the same walk.
-	frags     []Fragment
+	// Per-variable live-range fragment aggregates (count and total
+	// length), recorded by the same walk.
 	fragCount []int32
 	fragLen   []int32
 
@@ -130,8 +129,3 @@ func (sc *Scratch) addEdge(i, j int32) {
 	sc.adj[i] = append(sc.adj[i], j)
 	sc.adj[j] = append(sc.adj[j], i)
 }
-
-// LastFragments returns the live-range fragments of the most recent
-// build, ordered by block and descending position within each block. The
-// slice aliases the Scratch and is invalidated by the next allocation.
-func (sc *Scratch) LastFragments() []Fragment { return sc.frags }
