@@ -44,7 +44,6 @@
 //	-families comma-separated corpus families (famgen names plus "gen")
 //	          for -stream/-spool generation; empty means all
 //	-seed     corpus seed for -stream/-spool generation
-//	-chunk    jobs claimed per scheduler pull in -stream (0 = default 64)
 //	-checkevery  with -stream and -check: audit only every Nth job
 //	          (0 or 1 = audit every job)
 package main
@@ -104,7 +103,6 @@ func realMain() error {
 	corpusN := flag.Int64("n", 100_000, "corpus size for -stream / -spool generation")
 	families := flag.String("families", "", "comma-separated corpus families for -stream/-spool generation (empty = all)")
 	seed := flag.Int64("seed", 0, "corpus seed for -stream/-spool generation")
-	chunk := flag.Int("chunk", 0, "jobs claimed per scheduler pull in -stream (0 = default)")
 	checkEvery := flag.Int("checkevery", 0, "with -stream and -check: audit only every Nth job (0/1 = every job)")
 	flag.Parse()
 
@@ -133,7 +131,7 @@ func realMain() error {
 		if !*stream {
 			return writeSpool(*spool, *corpusN, fams, *seed)
 		}
-		return runStreamMode(*spool, *corpusN, fams, *seed, cfg, *chunk, *checkEvery, *trace)
+		return runStreamMode(*spool, *corpusN, fams, *seed, cfg, *checkEvery, *trace)
 	}
 	if *batch != "" {
 		return runBatch(os.Stdout, *batch, cfg, *stats, *cachemb, *trace)
@@ -512,7 +510,7 @@ func writeSpool(path string, n int64, families []string, seed int64) error {
 // file) through the streaming engine and prints the reducer's table.
 // Memory stays bounded by workers × chunk no matter how large the
 // corpus is; SIGINT/SIGTERM stops pulling and drains in-flight work.
-func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg driver.Config, chunk, checkEvery int, tracePath string) error {
+func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg driver.Config, checkEvery int, tracePath string) error {
 	var err error
 	var src driver.JobSource
 	var spoolSrc *driver.SpoolSource
@@ -538,9 +536,7 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg
 
 	cfg.Obs = rec
 	red := driver.NewStreamStats()
-	rep := driver.RunStream(ctx, src, cfg, driver.StreamOptions{
-		Chunk: chunk, CheckEvery: checkEvery,
-	}, red)
+	rep := driver.RunStream(ctx, src, cfg, driver.StreamOptions{CheckEvery: checkEvery}, red)
 	fmt.Print(red.Table(rep, cfg.Algo, cfg.RegallocK))
 	if err := closeRec(); err != nil {
 		return err

@@ -14,7 +14,6 @@
 //	experiments -audit          # checker-overhead study (internal/analysis)
 //	experiments -corpus         # streamed-corpus sweep: 10⁶ generated functions
 //	                            # per pipeline through the bounded-memory engine
-//	experiments -corpus -n 1000000 -o BENCH_10.json -label BENCH_10
 //	experiments -cpuprofile cpu.out -table 2 # pprof any study
 package main
 
@@ -57,14 +56,10 @@ func realMain() (err error) {
 	corpusN := flag.Int64("n", 1_000_000, "corpus size per pipeline for -corpus")
 	families := flag.String("families", "", "comma-separated corpus families for -corpus (empty = all)")
 	seed := flag.Int64("seed", 0, "corpus seed for -corpus")
-	chunk := flag.Int("chunk", 0, "jobs claimed per scheduler pull for -corpus (0 = default)")
 	workers := flag.Int("workers", 0, "worker count for -corpus (0 = one per CPU)")
 	checkEvery := flag.Int("checkevery", 4096, "audit every Nth -corpus job at the full level (0 = off)")
 	spotCheck := flag.Int("spotcheck", 5, "differential samples per pipeline replayed through the batch path for -corpus (0 = off)")
-	schedN := flag.Int64("schedn", 2048, "scheduler-microbenchmark corpus size for -corpus (0 = skip)")
 	memcap := flag.Int("memcap", 0, "fail -corpus if peak heap exceeds this many MiB (0 = no cap)")
-	label := flag.String("label", "BENCH_3", "baseline label recorded in the -corpus report")
-	out := flag.String("o", "", "write the -corpus report (BENCH_*.json schema) to this file (default: none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -103,9 +98,8 @@ func realMain() (err error) {
 	case *corpus:
 		return runCorpus(corpusConfig{
 			n: *corpusN, families: *families, seed: *seed,
-			chunk: *chunk, workers: *workers, k: *alloc, checkEvery: *checkEvery,
-			spotCheck: *spotCheck, schedN: *schedN, memcapMiB: *memcap,
-			label: *label, out: *out,
+			workers: *workers, k: *alloc, checkEvery: *checkEvery,
+			spotCheck: *spotCheck, memcapMiB: *memcap,
 		})
 	case *scaling:
 		return runScaling()
@@ -419,23 +413,17 @@ type corpusConfig struct {
 	n          int64
 	families   string
 	seed       int64
-	chunk      int
 	workers    int
 	k          int
 	checkEvery int
 	spotCheck  int
-	schedN     int64
 	memcapMiB  int
-	label, out string
 }
 
 // runCorpus runs the streamed-corpus sweep: n generated functions per
 // pipeline pulled through the bounded-memory engine, per-family
-// aggregates from the streaming reducer, a differential spot check
-// replaying sampled indices through the batch path, and the scheduler
-// contention microbenchmark (single-counter claims vs chunked claims
-// with stealing). With -o it writes a corpus-only baseline report —
-// the committed BENCH_10.json.
+// aggregates from the streaming reducer, and a differential spot check
+// replaying sampled indices through the batch path.
 func runCorpus(c corpusConfig) error {
 	var fams []string
 	for _, part := range strings.Split(c.families, ",") {
@@ -450,10 +438,10 @@ func runCorpus(c corpusConfig) error {
 	fmt.Printf("Streamed-corpus sweep: %d generated functions per pipeline (families: %s)\n", c.n, famDesc)
 	fmt.Printf("(bounded-memory engine: jobs synthesized on demand, chunked claims with\n")
 	fmt.Printf(" work stealing, results folded into a streaming reducer; host has %d CPU(s))\n\n", runtime.NumCPU())
-	entries, sched, err := bench.RunCorpusSweep(bench.CorpusOptions{
+	entries, err := bench.RunCorpusSweep(bench.CorpusOptions{
 		N: c.n, Families: fams, Seed: c.seed,
-		Chunk: c.chunk, Workers: c.workers, RegallocK: c.k,
-		CheckEvery: c.checkEvery, SpotCheck: c.spotCheck, SchedN: c.schedN,
+		Workers: c.workers, RegallocK: c.k,
+		CheckEvery: c.checkEvery, SpotCheck: c.spotCheck,
 		Log: os.Stdout,
 	})
 	if err != nil {
@@ -469,26 +457,5 @@ func runCorpus(c corpusConfig) error {
 		}
 		fmt.Printf("memcap: every pipeline stayed under %d MiB\n", c.memcapMiB)
 	}
-	if c.out == "" {
-		return nil
-	}
-	rep := &bench.BenchReport{
-		Schema:    "fastcoalesce-bench/v1",
-		Label:     c.label,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Corpus:    entries,
-		Sched:     sched,
-	}
-	data, err := rep.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(c.out, data, 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", c.out, err)
-	}
-	fmt.Printf("wrote %s\n", c.out)
 	return nil
 }

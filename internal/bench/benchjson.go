@@ -1,12 +1,9 @@
 package bench
 
-import "encoding/json"
-
 // This file holds the schema of the committed performance baselines
 // (BENCH_*.json). They are the record of how the suite measured across
 // the repository's history, read back by TestCommittedBenchReports and
-// TestCommittedCorpusReport; `cmd/experiments -corpus -o` still writes
-// a corpus-only report in the same schema.
+// TestCommittedCorpusReport; nothing writes them any more.
 
 // BenchEntry is one measured configuration.
 type BenchEntry struct {
@@ -51,13 +48,4 @@ type BenchReport struct {
 	Pressure  []PressureEntry `json:"pressure,omitempty"` // register-pressure sweep at k=4/8/16/32
 	Corpus    []CorpusEntry   `json:"corpus,omitempty"`   // streamed-corpus sweep (per pipeline × family)
 	Sched     []SchedEntry    `json:"sched,omitempty"`    // scheduler contention microbenchmark
-}
-
-// MarshalIndent renders the report as committed to the repository.
-func (r *BenchReport) MarshalIndent() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

@@ -8,22 +8,34 @@ import (
 	"fastcoalesce/internal/driver"
 )
 
+// pullLimit caps every Pull of its source at n jobs. The JobSource
+// contract allows short pulls, so the engine claims at most n jobs at a
+// time and the tests can vary the claim size without an engine option.
+type pullLimit struct {
+	driver.JobSource
+	n int
+}
+
+func (p pullLimit) Pull(dst []driver.Job) (int, int64) {
+	return p.JobSource.Pull(dst[:min(len(dst), p.n)])
+}
+
 // TestCorpusSourceDeterminism pins the streamed-corpus determinism
 // claim end to end: the same spec reduced under wildly different
-// schedules (worker counts, chunk sizes, stealing on/off) produces
-// byte-identical reducer counts, and JobAt is pure (re-synthesizing an
-// index matches what the stream saw).
+// schedules (worker counts, claim sizes) produces byte-identical
+// reducer counts, and JobAt is pure (re-synthesizing an index matches
+// what the stream saw).
 func TestCorpusSourceDeterminism(t *testing.T) {
 	spec := CorpusSpec{N: 240, Seed: 7}
-	run := func(workers, chunk int, noSteal bool) string {
+	run := func(workers, chunk int) string {
 		src, err := NewCorpusSource(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		red := driver.NewStreamStats()
-		rep := driver.RunStream(context.Background(), src,
+		rep := driver.RunStream(context.Background(), pullLimit{src, chunk},
 			driver.Config{Algo: New, Workers: workers},
-			driver.StreamOptions{Chunk: chunk, NoSteal: noSteal}, red)
+			driver.StreamOptions{}, red)
 		if rep.Processed != spec.N {
 			t.Fatalf("workers=%d chunk=%d: processed %d of %d", workers, chunk, rep.Processed, spec.N)
 		}
@@ -32,7 +44,7 @@ func TestCorpusSourceDeterminism(t *testing.T) {
 		}
 		return red.CountsText()
 	}
-	want := run(1, 1, true)
+	want := run(1, 1)
 	if !strings.Contains(want, GenFamily+" ") {
 		t.Fatalf("counts lack the %q family:\n%s", GenFamily, want)
 	}
@@ -41,15 +53,12 @@ func TestCorpusSourceDeterminism(t *testing.T) {
 			t.Errorf("counts lack family %q", fam.Name)
 		}
 	}
-	for _, c := range []struct {
-		workers, chunk int
-		noSteal        bool
-	}{
-		{4, 1, false}, {2, 16, false}, {3, 64, true}, {8, 7, false},
+	for _, c := range []struct{ workers, chunk int }{
+		{4, 1}, {2, 16}, {3, 64}, {8, 7},
 	} {
-		if got := run(c.workers, c.chunk, c.noSteal); got != want {
-			t.Errorf("workers=%d chunk=%d nosteal=%v: counts diverge\n got: %s\nwant: %s",
-				c.workers, c.chunk, c.noSteal, got, want)
+		if got := run(c.workers, c.chunk); got != want {
+			t.Errorf("workers=%d chunk=%d: counts diverge\n got: %s\nwant: %s",
+				c.workers, c.chunk, got, want)
 		}
 	}
 }
@@ -98,12 +107,12 @@ func TestCorpusJobAtPure(t *testing.T) {
 }
 
 // TestCorpusSweepSmoke runs the full sweep small: all four pipelines,
-// audit sampling, the differential spot check, and the scheduler
-// microbenchmark must all come back clean.
+// audit sampling and the differential spot check must all come back
+// clean.
 func TestCorpusSweepSmoke(t *testing.T) {
-	entries, sched, err := RunCorpusSweep(CorpusOptions{
-		N: 160, Seed: 11, Workers: 2, Chunk: 8,
-		CheckEvery: 40, SpotCheck: 5, SchedN: 64,
+	entries, err := RunCorpusSweep(CorpusOptions{
+		N: 160, Seed: 11, Workers: 2,
+		CheckEvery: 40, SpotCheck: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,46 +142,4 @@ func TestCorpusSweepSmoke(t *testing.T) {
 			t.Errorf("%s: family rows sum to %d jobs, want 160", pipe, jobs)
 		}
 	}
-	if len(sched) != 2 {
-		t.Fatalf("%d sched entries, want 2", len(sched))
-	}
-	if sched[0].Mode != "single-counter" || sched[1].Mode != "chunked-stealing" {
-		t.Fatalf("sched modes %q/%q", sched[0].Mode, sched[1].Mode)
-	}
-	for _, s := range sched {
-		if s.Jobs != 64 || s.WallNs <= 0 {
-			t.Errorf("sched %s: jobs=%d wall=%v", s.Mode, s.Jobs, s.WallNs)
-		}
-	}
-}
-
-// BenchmarkSchedSingleCounter and BenchmarkSchedChunkedStealing expose
-// the claim-discipline comparison to `go test -bench` on a skew-cost
-// corpus: identical prebuilt jobs, only the scheduler differs.
-func benchmarkSched(b *testing.B, opt driver.StreamOptions) {
-	src, err := NewCorpusSource(CorpusSpec{N: 512, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := make([]driver.Job, src.N())
-	for i := int64(0); i < src.N(); i++ {
-		jobs[i] = src.JobAt(i)
-	}
-	cfg := driver.Config{Algo: New, Workers: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		red := driver.NewStreamStats()
-		rep := driver.RunStream(context.Background(), driver.NewSliceSource(jobs), cfg, opt, red)
-		if rep.Processed != int64(len(jobs)) {
-			b.Fatalf("processed %d of %d", rep.Processed, len(jobs))
-		}
-	}
-}
-
-func BenchmarkSchedSingleCounter(b *testing.B) {
-	benchmarkSched(b, driver.StreamOptions{Chunk: 1, NoSteal: true})
-}
-
-func BenchmarkSchedChunkedStealing(b *testing.B) {
-	benchmarkSched(b, driver.StreamOptions{Chunk: 64})
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/driver"
@@ -18,9 +17,7 @@ import (
 // and record per-family aggregates plus the engine's scheduler and
 // peak-heap counters. A differential spot check re-synthesizes sampled
 // indices and replays them through the batch path, asserting the
-// streamed pipeline produced byte-identical output; the scheduler
-// microbenchmark pins that chunked claiming with stealing beats the
-// single-counter loop on the same skewed jobs.
+// streamed pipeline produced byte-identical output.
 
 // CorpusEntry is one row of the streamed sweep: the "*" family row
 // carries the run-wide engine numbers, family rows the per-family
@@ -45,9 +42,10 @@ type CorpusEntry struct {
 	Steals    int64   `json:"steals,omitempty"`          // "*" rows only
 }
 
-// SchedEntry is one contention-microbenchmark measurement: the same
-// prebuilt skew-cost jobs, claimed either one at a time off the shared
-// counter (the old scheduler) or in chunks with stealing (the new one).
+// SchedEntry is one measurement of the retired scheduler microbenchmark
+// (the same prebuilt skew-cost jobs, claimed either one at a time off
+// the shared counter or in chunks with stealing); the committed
+// BENCH_10.json carries two.
 type SchedEntry struct {
 	Mode    string  `json:"mode"` // single-counter | chunked-stealing
 	Workers int     `json:"workers"`
@@ -63,12 +61,10 @@ type CorpusOptions struct {
 	N          int64    // jobs per pipeline
 	Families   []string // empty = every family (famgen + gen)
 	Seed       int64
-	Chunk      int       // jobs per claim; 0 = driver.DefaultChunk
 	Workers    int       // 0 = GOMAXPROCS
 	RegallocK  int       // 0 = allocator off
 	CheckEvery int       // audit every Nth job at analysis.Full; 0 = off
 	SpotCheck  int       // differential samples per pipeline vs the batch path; 0 = off
-	SchedN     int64     // microbenchmark corpus size; 0 = skip the sched section
 	Log        io.Writer // transcript; nil = discard
 }
 
@@ -80,8 +76,8 @@ type spotSample struct {
 }
 
 // RunCorpusSweep streams the corpus through all four pipelines and
-// returns the per-family rows plus the scheduler microbenchmark.
-func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, []SchedEntry, error) {
+// returns the per-family rows.
+func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, error) {
 	logw := opt.Log
 	if logw == nil {
 		logw = io.Discard
@@ -93,7 +89,7 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, []SchedEntry, error) {
 	for _, algo := range Algos {
 		src, err := NewCorpusSource(CorpusSpec{N: opt.N, Families: opt.Families, Seed: opt.Seed})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg := driver.Config{Algo: algo, Workers: opt.Workers, RegallocK: opt.RegallocK}
 		if opt.CheckEvery > 0 {
@@ -130,19 +126,19 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, []SchedEntry, error) {
 
 		red := driver.NewStreamStats()
 		rep := driver.RunStream(context.Background(), src, cfg, driver.StreamOptions{
-			Chunk: opt.Chunk, CheckEvery: opt.CheckEvery, Tap: tap,
+			CheckEvery: opt.CheckEvery, Tap: tap,
 		}, red)
 		fmt.Fprint(logw, red.Table(rep, algo, opt.RegallocK))
 
 		g := red.Global()
 		if g.Jobs != opt.N {
-			return nil, nil, fmt.Errorf("%v: streamed %d of %d jobs", algo, g.Jobs, opt.N)
+			return nil, fmt.Errorf("%v: streamed %d of %d jobs", algo, g.Jobs, opt.N)
 		}
 		if g.Errors > 0 {
-			return nil, nil, fmt.Errorf("%v: %d job errors in streamed corpus", algo, g.Errors)
+			return nil, fmt.Errorf("%v: %d job errors in streamed corpus", algo, g.Errors)
 		}
 		if g.CheckFindings > 0 {
-			return nil, nil, fmt.Errorf("%v: %d audit findings in streamed corpus", algo, g.CheckFindings)
+			return nil, fmt.Errorf("%v: %d audit findings in streamed corpus", algo, g.CheckFindings)
 		}
 		entries = append(entries, CorpusEntry{
 			Pipeline: algo.String(), Family: "*",
@@ -169,21 +165,12 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, []SchedEntry, error) {
 
 		if step > 0 {
 			if err := spotCheck(src, cfg, samples); err != nil {
-				return nil, nil, fmt.Errorf("%v: %w", algo, err)
+				return nil, fmt.Errorf("%v: %w", algo, err)
 			}
 			fmt.Fprintf(logw, "  spot-check:    %d sampled jobs match the batch path\n", len(samples))
 		}
 	}
-
-	var sched []SchedEntry
-	if opt.SchedN > 0 {
-		var err error
-		sched, err = RunSchedBench(opt.SchedN, opt.Workers, opt.Chunk, opt.Seed, logw)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return entries, sched, nil
+	return entries, nil
 }
 
 // spotCheck re-synthesizes each sampled index and replays it through
@@ -212,57 +199,4 @@ func spotCheck(src *CorpusSource, cfg driver.Config, samples map[int64]spotSampl
 		}
 	}
 	return nil
-}
-
-// RunSchedBench compares the two claim disciplines over identical
-// prebuilt skew-cost jobs (a SliceSource, so generation cost is out of
-// the measurement): single-counter is chunk 1 with stealing off — the
-// original batch scheduler — and chunked-stealing is the streamed
-// default. Best of 3 runs each.
-func RunSchedBench(n int64, workers, chunk int, seed int64, logw io.Writer) ([]SchedEntry, error) {
-	if logw == nil {
-		logw = io.Discard
-	}
-	src, err := NewCorpusSource(CorpusSpec{N: n, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]driver.Job, n)
-	for i := int64(0); i < n; i++ {
-		jobs[i] = src.JobAt(i)
-	}
-	if chunk <= 0 {
-		chunk = driver.DefaultChunk
-	}
-	cfg := driver.Config{Algo: New, Workers: workers}
-	modes := []struct {
-		name string
-		opt  driver.StreamOptions
-	}{
-		{"single-counter", driver.StreamOptions{Chunk: 1, NoSteal: true}},
-		{"chunked-stealing", driver.StreamOptions{Chunk: chunk}},
-	}
-	var out []SchedEntry
-	for _, m := range modes {
-		var best *SchedEntry
-		for rep := 0; rep < 3; rep++ {
-			red := driver.NewStreamStats()
-			r := driver.RunStream(context.Background(), driver.NewSliceSource(jobs), cfg, m.opt, red)
-			if g := red.Global(); g.Errors > 0 {
-				return nil, fmt.Errorf("sched bench %s: %d job errors", m.name, g.Errors)
-			}
-			e := SchedEntry{
-				Mode: m.name, Workers: r.Workers, Chunk: r.Chunk, Jobs: n,
-				WallNs: float64(r.Wall.Nanoseconds()), Pulls: r.Pulls, Steals: r.Steals,
-			}
-			if best == nil || e.WallNs < best.WallNs {
-				best = &e
-			}
-		}
-		fmt.Fprintf(logw, "  sched %-17s workers %-3d chunk %-4d wall %-12v pulls %-8d steals %d\n",
-			best.Mode, best.Workers, best.Chunk,
-			time.Duration(int64(best.WallNs)).Round(time.Microsecond), best.Pulls, best.Steals)
-		out = append(out, *best)
-	}
-	return out, nil
 }

@@ -41,10 +41,11 @@ func TestCachedMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesFreshUnderCheck repeats the differential with the
-// full audit (translation validation included) and Revalidate on, the
-// way the cmds wire -check: every warm job recompiles, byte-compares
-// against its entry, and still audits clean.
+// TestCachedMatchesFreshUnderCheck repeats the differential at the full
+// audit level (translation validation included), under which every
+// cache hit is revalidated, the way the cmds wire -check: every warm
+// job recompiles, byte-compares against its entry, and still audits
+// clean.
 func TestCachedMatchesFreshUnderCheck(t *testing.T) {
 	jobs := kernelJobs(t)
 	cfg := driver.Config{Algo: driver.New, Workers: 4, Check: analysis.Full}
@@ -85,9 +86,10 @@ func cacheKeyFor(t *testing.T, src string, algo driver.Algo, fl ssa.Flavor) cach
 }
 
 // TestRevalidationCatchesCorruptEntry plants a poisoned entry under a
-// real key and checks Revalidate refuses to serve it: the fresh compile
-// no longer matches the cached bytes, so the job fails loudly instead
-// of returning either version silently.
+// real key and checks that an audited run (Check at the fast level)
+// refuses to serve it: the fresh compile no longer matches the cached
+// bytes, so the job fails loudly instead of returning either version
+// silently.
 func TestRevalidationCatchesCorruptEntry(t *testing.T) {
 	src := `
 func f(n int) int {

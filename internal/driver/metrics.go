@@ -40,7 +40,6 @@ type Snapshot struct {
 	Workers   int
 	Functions int // jobs that compiled successfully
 	Errors    int
-	Skipped   int // jobs never claimed before the context was cancelled
 
 	Wall        time.Duration
 	FuncsPerSec float64
@@ -88,10 +87,6 @@ func summarize(results []Result, algo Algo, workers int, wall time.Duration, all
 			s.Check += r.Metrics.Check
 			s.CheckFindings += int64(r.Metrics.CheckFindings)
 		}
-		if r.Skipped {
-			s.Skipped++
-			continue
-		}
 		if r.Err != nil {
 			s.Errors++
 			continue
@@ -138,9 +133,6 @@ func (s *Snapshot) Table() string {
 	fmt.Fprintf(&b, "pipeline %-9s workers %-3d functions %d", s.Algo, s.Workers, s.Functions)
 	if s.Errors > 0 {
 		fmt.Fprintf(&b, " (%d errors)", s.Errors)
-	}
-	if s.Skipped > 0 {
-		fmt.Fprintf(&b, " (%d skipped)", s.Skipped)
 	}
 	b.WriteByte('\n')
 	perFunc := int64(0)

@@ -1,12 +1,9 @@
 package driver_test
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/obs"
 )
@@ -101,62 +98,4 @@ func itoa(n int) string {
 			return string(b[i:])
 		}
 	}
-}
-
-// TestRunCtxDrain checks the cancellation contract: jobs claimed before
-// the cancel complete (and verify), jobs never claimed come back as
-// skipped with the context's error, and every result slot is stamped.
-func TestRunCtxDrain(t *testing.T) {
-	t.Run("precancelled", func(t *testing.T) {
-		jobs := kernelJobs(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		results, snap := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
-		if snap.Skipped != len(jobs) || snap.Functions != 0 {
-			t.Fatalf("precancelled run: %d skipped, %d compiled; want all %d skipped",
-				snap.Skipped, snap.Functions, len(jobs))
-		}
-		for i, r := range results {
-			if !r.Skipped || r.Err == nil || r.Func != nil {
-				t.Fatalf("result %d not a clean skip: %+v", i, r)
-			}
-		}
-	})
-	t.Run("midflight", func(t *testing.T) {
-		// Enough jobs that a cancel fired shortly after the start lands in
-		// the middle of the batch. The assertions hold wherever it lands:
-		// no half-compiled result exists, and the snapshot partitions the
-		// batch exactly.
-		var jobs []driver.Job
-		for seed := int64(0); seed < 200; seed++ {
-			w := bench.Generate(seed, bench.GenConfig{Stmts: 60, MaxDepth: 3, Scalars: 3, Arrays: 1})
-			jobs = append(jobs, driver.Job{Name: w.Name, Src: w.Src})
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			cancel()
-		}()
-		results, snap := driver.RunCtx(ctx, jobs, driver.Config{Algo: driver.New, Workers: 4})
-		compiled := 0
-		for i, r := range results {
-			switch {
-			case r.Skipped:
-				if r.Err == nil || r.Func != nil {
-					t.Fatalf("result %d skipped but malformed: %+v", i, r)
-				}
-			case r.Err != nil:
-				t.Fatalf("result %d failed: %v", i, r.Err)
-			default:
-				compiled++
-				if r.Func == nil || r.Func.CountPhis() != 0 {
-					t.Fatalf("result %d claimed complete but is not φ-free", i)
-				}
-			}
-		}
-		if compiled != snap.Functions || snap.Functions+snap.Skipped != len(jobs) {
-			t.Fatalf("snapshot partition broken: %d compiled + %d skipped != %d jobs",
-				snap.Functions, snap.Skipped, len(jobs))
-		}
-	})
 }

@@ -21,11 +21,10 @@ type StreamStats struct {
 	global FamilyAgg
 	fams   map[string]*FamilyAgg
 
-	// Destruct/Build/Total are histograms of per-job phase durations;
-	// timing is schedule-dependent, so they appear in Table but never in
+	// Destruct/Total are histograms of per-job phase durations; timing
+	// is schedule-dependent, so they appear in Table but never in
 	// CountsText.
 	Destruct PhaseHist
-	Build    PhaseHist
 	Total    PhaseHist
 }
 
@@ -52,11 +51,6 @@ type FamilyAgg struct {
 	Reloads     int64
 	ColorsUsed  int64 // max over the family
 	MaxPressure int64 // max over the family
-
-	ParseNS    int64 // summed per-phase time (schedule-independent totals
-	BuildNS    int64 // vary only by timer noise; they are excluded from
-	DestructNS int64 // CountsText like the histograms)
-	RegallocNS int64
 }
 
 // add folds one compiled (non-skipped) result.
@@ -86,10 +80,6 @@ func (a *FamilyAgg) add(r *Result) {
 	if int64(m.MaxPressure) > a.MaxPressure {
 		a.MaxPressure = int64(m.MaxPressure)
 	}
-	a.ParseNS += int64(m.Parse)
-	a.BuildNS += int64(m.Build)
-	a.DestructNS += int64(m.Destruct)
-	a.RegallocNS += int64(m.Regalloc)
 }
 
 // PhaseHist is a log₂ histogram of durations: bucket i counts samples
@@ -149,7 +139,6 @@ func (s *StreamStats) Reduce(r *Result) {
 		s.family(r.Family).add(r)
 	}
 	s.Destruct.observe(r.Metrics.Destruct)
-	s.Build.observe(r.Metrics.Build)
 	s.Total.observe(r.Metrics.Parse + r.Metrics.Build + r.Metrics.Destruct + r.Metrics.Regalloc + r.Metrics.Check)
 }
 

@@ -127,11 +127,15 @@ func OpenSpool(path string) (*SpoolSource, error) {
 	return &SpoolSource{r: r, c: f}, nil
 }
 
-// Pull implements JobSource.
+// Pull implements JobSource. The first decode error ends the stream:
+// the bytes after a corrupt record no longer fall on record boundaries.
 func (s *SpoolSource) Pull(dst []Job) (int, int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	base := s.next
+	if s.err != nil {
+		return 0, base
+	}
 	n := 0
 	for n < len(dst) {
 		j, err := s.readJob()

@@ -17,9 +17,8 @@ import (
 // generator that synthesizes them on demand, a disk spool, or a plain
 // slice — and a Reducer folds each Result as it is produced, so the
 // engine's footprint is O(workers · chunk) no matter how many functions
-// flow through. RunCtx is a thin adapter over RunStream (SliceSource +
-// a reducer that writes the familiar results slice), so both paths
-// share one scheduler.
+// flow through. Run is a thin adapter over the same scheduler
+// (SliceSource + a reducer that writes the familiar results slice).
 //
 // Scheduling: each worker owns a deque of pulled-but-unstarted jobs. It
 // pops from the front; when empty it pulls the next chunk from the
@@ -27,8 +26,7 @@ import (
 // dry it steals the back half of a sibling's deque. Chunked claims keep
 // the shared cursor off the hot path, and stealing keeps workers busy
 // when job costs are skewed — a deep loop nest next to a stack of
-// three-block functions no longer strands the rest of the pool idle
-// behind one counter.
+// three-block functions no longer strands the rest of the pool idle.
 
 // JobSource produces jobs for RunStream. Pull fills dst with up to
 // len(dst) consecutive jobs and returns how many it wrote plus the
@@ -41,8 +39,7 @@ type JobSource interface {
 }
 
 // SliceSource adapts a []Job to the JobSource interface with one atomic
-// cursor — with chunk size 1 this is exactly the claim discipline of the
-// original batch scheduler.
+// cursor.
 type SliceSource struct {
 	jobs []Job
 	next atomic.Int64
@@ -77,29 +74,13 @@ type Reducer interface {
 	Reduce(*Result)
 }
 
-// StreamOptions tune the streamed scheduler; the zero value gets
-// chunked claims with stealing and no check sampling.
+// StreamOptions tune a streamed run; the zero value audits every job
+// (when Config.Check is set) and taps nothing.
 type StreamOptions struct {
-	// Chunk is the number of jobs claimed from the source per atomic
-	// operation; <= 0 means DefaultChunk. Chunk 1 with NoSteal
-	// reproduces the single-counter claim loop byte for byte.
-	Chunk int
-
-	// NoSteal disables work stealing between worker deques, leaving
-	// only the shared source cursor — the baseline the contention
-	// microbenchmark compares against.
-	NoSteal bool
-
 	// CheckEvery > 1 samples the audit: only jobs whose global index is
 	// a multiple of CheckEvery run Config.Check; the rest compile
 	// unaudited. 0 or 1 audits every job (when Config.Check is set).
 	CheckEvery int
-
-	// DrainSource, on cancellation, keeps pulling from the source and
-	// stamps every remaining job Skipped instead of abandoning the
-	// cursor. Only set it for finite sources (the slice adapter needs
-	// every slot stamped); a generator source would drain forever.
-	DrainSource bool
 
 	// Tap, when non-nil, observes every Result after the pipeline and
 	// before the Reducer. Same contract as Reducer.Reduce: concurrent
@@ -108,9 +89,9 @@ type StreamOptions struct {
 	Tap func(*Result)
 }
 
-// DefaultChunk is the jobs-per-claim used when StreamOptions.Chunk is
-// unset: big enough that the source cursor is off the hot path, small
-// enough that a steal can still rebalance a skewed tail.
+// DefaultChunk is the number of jobs RunStream claims per pull: big
+// enough that the source cursor is off the hot path, small enough that
+// a steal can still rebalance a skewed tail.
 const DefaultChunk = 64
 
 // StreamReport describes one RunStream execution at the engine level —
@@ -193,25 +174,21 @@ func (d *deque) stealFrom(victim *deque, scratch []Job) (int, []Job) {
 // cancelled), compiles each with cfg's pipeline, and folds every Result
 // into red. Cancellation drains: jobs already popped by a worker run to
 // completion, jobs still queued are reduced as Result{Skipped: true},
-// and the source is left unpulled (or fully drained under
-// opt.DrainSource). Memory stays bounded by workers × chunk regardless
-// of how many jobs the source produces.
+// and the source is left unpulled. Memory stays bounded by workers ×
+// DefaultChunk regardless of how many jobs the source produces.
 func RunStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions, red Reducer) *StreamReport {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return runStream(ctx, src, cfg, opt, red, newScratches(cfg, workers))
+	return runStream(ctx, src, cfg, opt, red, newScratches(cfg, workers), DefaultChunk)
 }
 
 // runStream is RunStream over caller-built scratches, one per worker
-// (the batch adapter builds them outside its allocation measurement).
-func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions, red Reducer, scs []*Scratch) *StreamReport {
+// (the batch adapter builds them outside its allocation measurement),
+// claiming chunk jobs per pull.
+func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions, red Reducer, scs []*Scratch, chunk int) *StreamReport {
 	workers := len(scs)
-	chunk := opt.Chunk
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
 	cfg.fp = cfg.fingerprint()
 	cfg.Obs.NextGen() // one trace generation per streamed batch
 	bm := newBatchMetrics(cfg)
@@ -323,10 +300,9 @@ func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 					pending.Add(-1)
 					continue
 				}
-				// 2. Refill from the source. After cancellation only the
-				// DrainSource path keeps pulling (to stamp a finite
-				// source's remainder); a generator stops here.
-				if !exhausted.Load() && (!cancelled() || opt.DrainSource) {
+				// 2. Refill from the source, unless the run is cancelled:
+				// a generator source would never run dry.
+				if !exhausted.Load() && !cancelled() {
 					n, base := src.Pull(pullBuf)
 					if n > 0 {
 						pulls.Add(1)
@@ -337,7 +313,7 @@ func runStream(ctx context.Context, src JobSource, cfg Config, opt StreamOptions
 					exhausted.Store(true)
 				}
 				// 3. Steal the back half of a sibling's deque.
-				if !opt.NoSteal && workers > 1 {
+				if workers > 1 {
 					stole := false
 					for off := 1; off < workers; off++ {
 						victim := deques[(self+off)%workers]

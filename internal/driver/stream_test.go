@@ -1,9 +1,11 @@
 package driver_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,40 +17,48 @@ import (
 	"fastcoalesce/internal/driver"
 )
 
-// streamOnce runs the kernel suite through the streaming engine under
-// one schedule and returns the reducer and engine report.
-func streamOnce(t *testing.T, cfg driver.Config, opt driver.StreamOptions) (*driver.StreamStats, *driver.StreamReport) {
+// pullLimit caps every Pull of its source at n jobs. The JobSource
+// contract allows short pulls, so the engine claims at most n jobs at a
+// time and the tests can vary the claim size without an engine option.
+type pullLimit struct {
+	driver.JobSource
+	n int
+}
+
+func (p pullLimit) Pull(dst []driver.Job) (int, int64) {
+	return p.JobSource.Pull(dst[:min(len(dst), p.n)])
+}
+
+// streamOnce runs the kernel suite through the streaming engine,
+// claiming at most chunk jobs per pull, and returns the reducer and
+// engine report.
+func streamOnce(t *testing.T, cfg driver.Config, chunk int) (*driver.StreamStats, *driver.StreamReport) {
 	t.Helper()
 	red := driver.NewStreamStats()
-	rep := driver.RunStream(context.Background(), driver.NewSliceSource(kernelJobs(t)), cfg, opt, red)
+	src := pullLimit{driver.NewSliceSource(kernelJobs(t)), chunk}
+	rep := driver.RunStream(context.Background(), src, cfg, driver.StreamOptions{}, red)
 	return red, rep
 }
 
 // TestStreamDeterministicReduction pins the tentpole determinism
 // contract: the reducer's counts are byte-identical no matter the
-// worker count, chunk size, or whether stealing is on — scheduling can
-// only reorder commutative folds.
+// worker count, claim size, or steal order — scheduling can only
+// reorder commutative folds.
 func TestStreamDeterministicReduction(t *testing.T) {
 	for _, algo := range driver.Algos {
 		cfg := driver.Config{Algo: algo, Workers: 1}
-		base, rep := streamOnce(t, cfg, driver.StreamOptions{Chunk: 1, NoSteal: true})
+		base, rep := streamOnce(t, cfg, 1)
 		want := base.CountsText()
 		if rep.Processed == 0 {
 			t.Fatalf("%v: nothing processed", algo)
 		}
-		schedules := []driver.StreamOptions{
-			{Chunk: 1},
-			{Chunk: 7},
-			{Chunk: 64},
-			{Chunk: 64, NoSteal: true},
-		}
 		for _, workers := range []int{2, 5} {
 			cfg.Workers = workers
-			for _, opt := range schedules {
-				got, _ := streamOnce(t, cfg, opt)
+			for _, chunk := range []int{1, 7, driver.DefaultChunk} {
+				got, _ := streamOnce(t, cfg, chunk)
 				if s := got.CountsText(); s != want {
-					t.Errorf("%v workers=%d chunk=%d nosteal=%v: counts diverge\n got: %s\nwant: %s",
-						algo, workers, opt.Chunk, opt.NoSteal, s, want)
+					t.Errorf("%v workers=%d chunk=%d: counts diverge\n got: %s\nwant: %s",
+						algo, workers, chunk, s, want)
 				}
 			}
 		}
@@ -61,7 +71,7 @@ func TestStreamDeterministicReduction(t *testing.T) {
 func TestStreamMatchesBatch(t *testing.T) {
 	cfg := driver.Config{Algo: driver.New, Workers: 3}
 	_, snap := driver.Run(kernelJobs(t), cfg)
-	red, _ := streamOnce(t, cfg, driver.StreamOptions{Chunk: 8})
+	red, _ := streamOnce(t, cfg, 8)
 	g := red.Global()
 	if g.Jobs != int64(snap.Functions) || g.Errors != 0 {
 		t.Fatalf("streamed %d jobs (%d errors), batch compiled %d", g.Jobs, g.Errors, snap.Functions)
@@ -86,28 +96,30 @@ func TestStreamMatchesBatch(t *testing.T) {
 }
 
 // TestStreamDrainPrecancelled: a context cancelled before the run
-// starts must reduce every job as Skipped under DrainSource without
-// compiling anything.
+// starts must leave the source unpulled and reduce nothing.
 func TestStreamDrainPrecancelled(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	sentinel := errors.New("stop before start")
 	cancel(sentinel)
-	jobs := kernelJobs(t)
 	red := driver.NewStreamStats()
-	rep := driver.RunStream(ctx, driver.NewSliceSource(jobs), driver.Config{Workers: 2},
-		driver.StreamOptions{Chunk: 4, DrainSource: true}, red)
+	rep := driver.RunStream(ctx, driver.NewSliceSource(kernelJobs(t)), driver.Config{Workers: 2},
+		driver.StreamOptions{}, red)
 	g := red.Global()
-	if rep.Processed != 0 || g.Skipped != int64(len(jobs)) {
-		t.Fatalf("processed %d, skipped %d; want 0 and %d", rep.Processed, g.Skipped, len(jobs))
+	if rep.Pulls != 0 || rep.Processed != 0 || g.Jobs != 0 || g.Skipped != 0 {
+		t.Fatalf("pulls %d, processed %d, reduced %d jobs and %d skips; want none",
+			rep.Pulls, rep.Processed, g.Jobs, g.Skipped)
 	}
 }
 
 // TestStreamDrainMidway cancels from inside the reducer after a few
-// jobs: the engine must still account for every job — some compiled,
-// the pulled remainder stamped Skipped — and, without DrainSource, must
-// stop pulling so an unbounded source cannot wedge the drain.
+// jobs: the engine must still account for every pulled job — some
+// compiled, the remainder stamped Skipped. The suite fits in one pull,
+// so every job is pulled before the cancel.
 func TestStreamDrainMidway(t *testing.T) {
 	jobs := kernelJobs(t)
+	if len(jobs) > driver.DefaultChunk {
+		t.Fatalf("%d jobs do not fit in one pull of %d", len(jobs), driver.DefaultChunk)
+	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	sentinel := errors.New("enough")
 	var reduced atomic.Int64
@@ -118,7 +130,7 @@ func TestStreamDrainMidway(t *testing.T) {
 		}
 	}
 	rep := driver.RunStream(ctx, driver.NewSliceSource(jobs), driver.Config{Workers: 2},
-		driver.StreamOptions{Chunk: 4, DrainSource: true, Tap: tap}, red)
+		driver.StreamOptions{Tap: tap}, red)
 	g := red.Global()
 	if got := rep.Processed + rep.Skipped; got != int64(len(jobs)) {
 		t.Fatalf("processed %d + skipped %d != %d jobs", rep.Processed, rep.Skipped, len(jobs))
@@ -147,7 +159,7 @@ func TestStreamCheckEvery(t *testing.T) {
 	red := driver.NewStreamStats()
 	driver.RunStream(context.Background(), driver.NewSliceSource(jobs),
 		driver.Config{Workers: 3, Check: analysis.Full},
-		driver.StreamOptions{Chunk: 4, CheckEvery: every, Tap: tap}, red)
+		driver.StreamOptions{CheckEvery: every, Tap: tap}, red)
 	wantChecked := 0
 	for i := range jobs {
 		want := i%every == 0
@@ -215,7 +227,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 	}
 	defer src.Close()
 	replay := driver.NewStreamStats()
-	rep := driver.RunStream(context.Background(), src, cfg, driver.StreamOptions{Chunk: 3}, replay)
+	rep := driver.RunStream(context.Background(), pullLimit{src, 3}, cfg, driver.StreamOptions{}, replay)
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +279,7 @@ func TestSpoolTruncated(t *testing.T) {
 // length is checked before anything is allocated: 2⁶² would panic in
 // make, and 2⁴⁰ would exhaust memory, which recover cannot catch.
 func TestSpoolCorruptLength(t *testing.T) {
-	for _, ln := range []uint64{1 << 62, 1 << 40} {
-		data := binary.AppendUvarint([]byte("FCSPOOL1\n"), ln)
-		data = append(data, make([]byte, 21-len(data))...)
+	replay := func(data []byte) (driver.FamilyAgg, error) {
 		path := filepath.Join(t.TempDir(), "corrupt.fcs")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -278,11 +288,49 @@ func TestSpoolCorruptLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer src.Close()
 		red := driver.NewStreamStats()
 		driver.RunStream(context.Background(), src, driver.Config{Workers: 1}, driver.StreamOptions{}, red)
-		src.Close()
-		if err := src.Err(); err == nil || !strings.Contains(err.Error(), "spool record 0") {
+		return red.Global(), src.Err()
+	}
+	for _, ln := range []uint64{1 << 62, 1 << 40} {
+		data := binary.AppendUvarint([]byte("FCSPOOL1\n"), ln)
+		data = append(data, make([]byte, 21-len(data))...)
+		if _, err := replay(data); err == nil || !strings.Contains(err.Error(), "spool record 0") {
 			t.Errorf("length %d: Err() = %v, want an error naming record 0", ln, err)
+		}
+	}
+
+	// Mid-stream: exactly the records before the corrupt one replay.
+	// The bytes after its length are the rest of that record, not the
+	// next one, so decoding on would compile garbage and replace the
+	// first error with a later one.
+	var spool bytes.Buffer
+	sw, err := driver.NewSpoolWriter(&spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offs []int
+	for _, j := range kernelJobs(t)[:4] {
+		sw.Flush()
+		offs = append(offs, spool.Len())
+		if err := sw.WriteJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.Flush()
+	for _, rec := range []int{1, 2} {
+		data := spool.Bytes()
+		_, n := binary.Uvarint(data[offs[rec]:])
+		bad := binary.AppendUvarint(bytes.Clone(data[:offs[rec]]), 1<<40)
+		bad = append(bad, data[offs[rec]+n:]...)
+		g, err := replay(bad)
+		if g.Jobs != int64(rec) || g.Errors != 0 {
+			t.Errorf("record %d corrupt: replayed %d jobs (%d failed), want the %d before it",
+				rec, g.Jobs, g.Errors, rec)
+		}
+		if want := fmt.Sprintf("spool record %d:", rec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("record %d corrupt: Err() = %v, want an error naming record %d", rec, err, rec)
 		}
 	}
 }
