@@ -25,8 +25,8 @@ const GenFamily = "gen"
 
 // DefaultCorpusSizes is the skewed size cycle: successive jobs of one
 // family alternate between trivial and deep shapes, so per-job cost
-// varies by orders of magnitude — the regime where chunked claiming
-// with stealing beats a fair single counter.
+// varies by orders of magnitude — the regime the streaming engine's
+// work stealing is for.
 var DefaultCorpusSizes = []int{3, 5, 8, 64, 4, 12, 96, 6}
 
 // CorpusSpec configures a CorpusSource.
