@@ -122,8 +122,9 @@ func (t *Tree) RecomputeWith(f *ir.Func, solver Solver) {
 	t.f = f
 	t.Idom = reuse.Slice(t.Idom, n)
 	// Pre/MaxPre/RPONum are zeroed, not just resized: only reachable
-	// blocks are rewritten below, and FindLoops queries Dominates on every
-	// block — stale numbers on unreachable blocks would fabricate edges.
+	// blocks are rewritten below, and the natural-loop walk (FindLoops,
+	// LoopDepthInto) queries Dominates on every block — stale numbers on
+	// unreachable blocks would fabricate edges.
 	t.Pre = reuse.Zeroed(t.Pre, n)
 	t.MaxPre = reuse.Zeroed(t.MaxPre, n)
 	t.RPONum = reuse.Zeroed(t.RPONum, n)

@@ -1,6 +1,9 @@
 package dom
 
 import (
+	"math/bits"
+
+	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/reuse"
 )
@@ -23,64 +26,124 @@ type LoopInfo struct {
 }
 
 // FindLoops detects natural loops from back edges (an edge d->h where h
-// dominates d) and merges loops that share a header.
+// dominates d) and merges loops that share a header. Loops come in the
+// order a block-order scan of the edges first meets their headers, each
+// Body in increasing block order.
 func (t *Tree) FindLoops() *LoopInfo {
-	f := t.f
-	n := len(f.Blocks)
-	li := &LoopInfo{Depth: make([]int32, n)}
-
-	// Gather back-edge sources per header, in block order for determinism.
-	backSrcs := make(map[ir.BlockID][]ir.BlockID)
-	var headers []ir.BlockID
-	for b := 0; b < n; b++ {
-		for _, s := range f.Blocks[b].Succs {
-			if t.Dominates(s, ir.BlockID(b)) {
-				if _, ok := backSrcs[s]; !ok {
-					headers = append(headers, s)
-				}
-				backSrcs[s] = append(backSrcs[s], ir.BlockID(b))
-			}
+	n := len(t.f.Blocks)
+	li := &LoopInfo{Depth: make([]int32, n), headers: make([]bool, n)}
+	var sc LoopScratch
+	inBody := bitset.New(n) // one loop's body, to list it in block order
+	for _, h := range t.loopHeaders(li.headers, nil) {
+		body := t.loopBody(h, &sc)
+		for _, b := range body {
+			li.Depth[b]++
+			inBody.Add(int(b))
 		}
-	}
-
-	li.headers = make([]bool, n)
-	for _, h := range headers {
-		li.headers[h] = true
-	}
-
-	inBody := make([]bool, n)
-	for _, h := range headers {
-		for i := range inBody {
-			inBody[i] = false
-		}
-		inBody[h] = true
-		var stack []ir.BlockID
-		for _, d := range backSrcs[h] {
-			if !inBody[d] {
-				inBody[d] = true
-				stack = append(stack, d)
+		loop := Loop{Header: h, Body: make([]ir.BlockID, 0, len(body))}
+		for wi, w := range inBody {
+			for ; w != 0; w &= w - 1 {
+				loop.Body = append(loop.Body, ir.BlockID(wi<<6+bits.TrailingZeros64(w)))
 			}
-		}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range f.Blocks[b].Preds {
-				if !inBody[p] {
-					inBody[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-		loop := Loop{Header: h}
-		for b := 0; b < n; b++ {
-			if inBody[b] {
-				loop.Body = append(loop.Body, ir.BlockID(b))
-				li.Depth[b]++
-			}
+			inBody[wi] = 0
 		}
 		li.Loops = append(li.Loops, loop)
 	}
 	return li
+}
+
+// LoopScratch holds the reusable state of LoopDepthInto. The zero value
+// is ready to use; a LoopScratch belongs to one goroutine.
+//
+// The body marks use the generation-stamp idiom: each loop body walk
+// bumps epoch, and a block is in the body being walked only while its
+// stamp equals epoch, so no per-header clear of the table is needed (the
+// table is wiped on the 2^32-walk wraparound).
+type LoopScratch struct {
+	inBody []uint32 // fc:stamp epoch
+	epoch  uint32   // fc:epoch
+
+	stack    []ir.BlockID
+	body     []ir.BlockID
+	headers  []ir.BlockID
+	isHeader []bool
+	depth    []int32
+}
+
+// LoopDepthInto returns FindLoops().Depth, each block's number of
+// enclosing natural loops, through the same walk but building neither
+// loop bodies nor the loop list. The slice aliases sc and is invalidated
+// by the next call with the same LoopScratch; a warm call allocates
+// nothing. A nil sc allocates cold.
+//
+// fc:hotpath
+func (t *Tree) LoopDepthInto(sc *LoopScratch) []int32 {
+	if sc == nil {
+		sc = &LoopScratch{}
+	}
+	n := len(t.f.Blocks)
+	depth := reuse.Zeroed(sc.depth, n)
+	isHeader := reuse.Zeroed(sc.isHeader, n)
+	sc.headers = t.loopHeaders(isHeader, sc.headers[:0])
+	for _, h := range sc.headers {
+		for _, b := range t.loopBody(h, sc) {
+			depth[b]++
+		}
+	}
+	sc.depth, sc.isHeader = depth, isHeader
+	return depth
+}
+
+// loopHeaders appends to hs every natural-loop header, a block h with a
+// back edge d->h, in the order a block-order scan of the edges first
+// meets it, and marks each in isHeader (zeroed, one entry per block).
+func (t *Tree) loopHeaders(isHeader []bool, hs []ir.BlockID) []ir.BlockID {
+	for b, blk := range t.f.Blocks {
+		for _, s := range blk.Succs {
+			if !isHeader[s] && t.Dominates(s, ir.BlockID(b)) {
+				isHeader[s] = true
+				hs = append(hs, s)
+			}
+		}
+	}
+	return hs
+}
+
+// loopBody returns the natural loop of header h, merged over all of h's
+// back edges: h and every block that reaches a back-edge source (a
+// predecessor h dominates) without passing through h, in discovery
+// order. The slice aliases sc and is valid until the next call.
+func (t *Tree) loopBody(h ir.BlockID, sc *LoopScratch) []ir.BlockID {
+	sc.epoch++
+	if sc.epoch == 0 { // uint32 wraparound: ancient stamps could collide
+		clear(sc.inBody[:cap(sc.inBody)])
+		sc.epoch = 1
+	}
+	epoch := sc.epoch
+	inBody := reuse.Slice(sc.inBody, len(t.f.Blocks))
+	inBody[h] = epoch
+	body := append(sc.body[:0], h)
+	stack := sc.stack[:0]
+	for _, d := range t.f.Blocks[h].Preds {
+		if inBody[d] != epoch && t.Dominates(h, d) {
+			inBody[d] = epoch
+			body = append(body, d)
+			stack = append(stack, d)
+		}
+	}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range t.f.Blocks[b].Preds {
+			if inBody[p] != epoch {
+				inBody[p] = epoch
+				body = append(body, p)
+				stack = append(stack, p)
+			}
+		}
+	}
+	sc.inBody, sc.body, sc.stack = inBody, body, stack
+	return body
 }
 
 // EstimateFrequencies produces a static execution-frequency estimate per

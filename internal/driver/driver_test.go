@@ -104,6 +104,41 @@ func TestScratchReuseCutsAllocations(t *testing.T) {
 	}
 }
 
+// TestBriggsStarScratchReuseCutsAllocations is the same steady-state
+// claim for the Briggs* pipeline: on one worker, a warm batch must
+// allocate at most half of the cold baseline, because the
+// interference-graph coalescer and its loop-depth walk reuse the
+// worker's scratch too.
+func TestBriggsStarScratchReuseCutsAllocations(t *testing.T) {
+	for _, name := range []string{"tomcatv", "twldrv", "fpppp"} {
+		w, ok := bench.WorkloadByName(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		f, err := bench.CompileWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]driver.Job, 64)
+		for i := range jobs {
+			jobs[i] = driver.Job{Name: w.Name, Func: f}
+		}
+		cfg := driver.Config{Algo: driver.BriggsStar, Workers: 1}
+		driver.Run(jobs[:1], cfg)
+		_, warm := driver.Run(jobs, cfg)
+		cfg.NoScratch = true
+		_, cold := driver.Run(jobs, cfg)
+		if warm.AllocBytes <= 0 || cold.AllocBytes <= 0 {
+			t.Fatalf("%s: implausible allocation measurements: warm=%d cold=%d", name, warm.AllocBytes, cold.AllocBytes)
+		}
+		ratio := float64(warm.AllocBytes) / float64(cold.AllocBytes)
+		t.Logf("%s alloc: cold=%d warm=%d ratio=%.2f", name, cold.AllocBytes, warm.AllocBytes, ratio)
+		if ratio > 0.5 {
+			t.Errorf("%s: Briggs* scratch reuse allocates %.0f%% of the cold baseline, want <= 50%%", name, 100*ratio)
+		}
+	}
+}
+
 // TestJobInputForms exercises the three input forms plus error capture:
 // a bad job must not disturb its neighbours or the output order.
 func TestJobInputForms(t *testing.T) {

@@ -61,8 +61,10 @@ type DestructStats struct {
 // Destruct converts f, in place, out of the SSA form BuildSSA produced,
 // with cfg.Algo's destruction step. st is BuildSSA's result: its
 // dominator tree is reused, so a pipeline computes dominators once. The
-// stats come back by value; New's are copied out of the worker's
-// coalescer scratch, so a warm job allocates nothing for them.
+// stats come back by value; New's and the graph coalescer's are copied
+// out of the worker's scratch, so a warm job allocates nothing for them
+// (the graph coalescer's Passes slice still aliases the scratch and is
+// valid until the worker's next job).
 func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats, error) {
 	var ds DestructStats
 	record := cfg.Check != analysis.None
@@ -82,13 +84,14 @@ func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats
 		ds.NameMap = ds.Core.NameMap
 	case Briggs, BriggsStar:
 		joinMap := ifgraph.JoinPhiWebs(f)
-		// JoinPhiWebs only renames; the CFG is unchanged since the SSA
-		// build, so its dominator tree serves the loop-depth query.
-		ds.Graph = *ifgraph.Coalesce(f, ifgraph.Options{
-			Improved:      cfg.Algo == BriggsStar,
-			Depth:         st.Dom.FindLoops().Depth,
-			RecordNameMap: record,
-		})
+		opt := ifgraph.Options{Improved: cfg.Algo == BriggsStar, RecordNameMap: record}
+		// Only copies read the loop depth. JoinPhiWebs only renames; the
+		// CFG is unchanged since the SSA build, so its dominator tree
+		// serves the query.
+		if f.CountCopies() > 0 {
+			opt.Depth = st.Dom.LoopDepthInto(sc.loopScratch())
+		}
+		ds.Graph = *ifgraph.CoalesceScratch(f, opt, sc.graphScratch())
 		if record {
 			// Compose the two renamings: SSA name → φ-web rep → final name.
 			for v := range joinMap {

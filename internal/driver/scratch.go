@@ -2,6 +2,8 @@ package driver
 
 import (
 	"fastcoalesce/internal/core"
+	"fastcoalesce/internal/dom"
+	"fastcoalesce/internal/ifgraph"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/regalloc"
 	"fastcoalesce/internal/ssa"
@@ -9,10 +11,12 @@ import (
 
 // Scratch is one worker's per-goroutine state: the reusable compilation
 // memory — the SSA construction scratch (liveness sets, dominator tree,
-// φ worklists) and the coalescer scratch (union-find forest, congruence
-// classes, rewrite buffers) — plus the worker's phase tracer. A worker's
-// second function of a given size allocates only a small fraction of
-// what the first did.
+// φ worklists), New's coalescer scratch (union-find forest, congruence
+// classes, rewrite buffers), the Briggs/Briggs* scratch (interference
+// matrix and adjacency lists, node universe, liveness, union-find) with
+// its loop-depth walk, and the allocator's — plus the worker's phase
+// tracer. A worker's second function of a given size allocates only a
+// small fraction of what the first did.
 //
 // A Scratch belongs to one goroutine. Under Config.NoScratch the
 // compilation memory is withheld from the passes (every compile
@@ -25,6 +29,8 @@ type Scratch struct {
 
 	ssa      ssa.Scratch
 	core     core.Scratch
+	graph    ifgraph.Scratch
+	loops    dom.LoopScratch
 	regalloc regalloc.Scratch
 
 	// canon is the reused canonicalization buffer for cache keys: the
@@ -50,6 +56,24 @@ func (s *Scratch) coreScratch() *core.Scratch {
 		return nil
 	}
 	return &s.core
+}
+
+// graphScratch returns the Briggs/Briggs* coalescer scratch, or nil for
+// a nil or cold receiver (CoalesceScratch treats nil as cold).
+func (s *Scratch) graphScratch() *ifgraph.Scratch {
+	if s == nil || s.cold {
+		return nil
+	}
+	return &s.graph
+}
+
+// loopScratch returns the loop-depth scratch, or nil for a nil or cold
+// receiver (LoopDepthInto treats nil as cold).
+func (s *Scratch) loopScratch() *dom.LoopScratch {
+	if s == nil || s.cold {
+		return nil
+	}
+	return &s.loops
 }
 
 // regallocScratch returns the allocator scratch, or nil for a nil or

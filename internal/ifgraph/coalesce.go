@@ -1,11 +1,13 @@
 package ifgraph
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
+	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
+	"fastcoalesce/internal/reuse"
 	"fastcoalesce/internal/unionfind"
 )
 
@@ -106,22 +108,53 @@ type Options struct {
 	RecordNameMap bool
 }
 
+// Scratch holds the reusable state of the build/coalesce loop: the
+// liveness scratch, the node universe, the copy list, the union-find
+// forest, the graph's matrix and adjacency lists, the walk's live set,
+// and the statistics CoalesceScratch returns. The zero value is ready to
+// use; once warm, a pass allocates only where a function outgrows every
+// earlier one. A Scratch belongs to one goroutine; the batch driver
+// keeps one per worker.
+type Scratch struct {
+	live     liveness.Scratch
+	universe []int32
+	copies   []copySite
+	uf       unionfind.UF
+	graph    Graph
+	cur      bitset.Set
+	st       CoalesceStats
+}
+
 // Coalesce runs the Chaitin/Briggs build/coalesce loop on φ-free code:
 // build the interference graph, coalesce every copy whose source and
 // destination do not interfere (merging their nodes in place so later
 // decisions in the pass stay conservative), rewrite, and repeat until a
 // pass coalesces nothing. It returns per-pass statistics.
 func Coalesce(f *ir.Func, opt Options) *CoalesceStats {
-	cs := &CoalesceStats{}
-	var cum []ir.VarID
+	return CoalesceScratch(f, opt, nil)
+}
+
+// CoalesceScratch is Coalesce reusing sc's memory. f ends up exactly as
+// Coalesce leaves it and the statistics are equal, but the returned
+// stats and their Passes alias sc and are invalidated by the next call
+// with the same Scratch (NameMap is freshly allocated). A nil sc
+// allocates cold.
+//
+// fc:hotpath
+func CoalesceScratch(f *ir.Func, opt Options, sc *Scratch) *CoalesceStats {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	cs := &sc.st
+	*cs = CoalesceStats{Passes: cs.Passes[:0]}
 	if opt.RecordNameMap {
-		cum = make([]ir.VarID, f.NumVars())
-		for v := range cum {
-			cum[v] = ir.VarID(v)
+		cs.NameMap = make([]ir.VarID, f.NumVars())
+		for v := range cs.NameMap {
+			cs.NameMap[v] = ir.VarID(v)
 		}
 	}
 	for {
-		ps, changed := coalescePass(f, opt, cum)
+		ps, changed := coalescePass(f, opt, cs.NameMap, sc)
 		cs.Passes = append(cs.Passes, ps)
 		cs.CopiesCoalesced += ps.Coalesced
 		if !changed {
@@ -131,7 +164,6 @@ func Coalesce(f *ir.Func, opt Options) *CoalesceStats {
 			break
 		}
 	}
-	cs.NameMap = cum
 	return cs
 }
 
@@ -141,25 +173,21 @@ type copySite struct {
 	depth int32
 }
 
-// coalescePass runs one build/coalesce iteration. When cum is non-nil it is
-// updated in place: each entry is advanced through this pass's union-find,
-// composing the cross-pass name mapping.
-func coalescePass(f *ir.Func, opt Options, cum []ir.VarID) (PassStats, bool) {
+// coalescePass runs one build/coalesce iteration on sc's memory. When
+// cum is non-nil it is updated in place: each entry is advanced through
+// this pass's union-find, composing the cross-pass name mapping.
+//
+// fc:hotpath
+func coalescePass(f *ir.Func, opt Options, cum []ir.VarID, sc *Scratch) (PassStats, bool) {
 	ps := PassStats{}
 	nv := f.NumVars()
 
 	// Gather copies and the node universe.
-	universe := make([]int32, nv)
+	universe := reuse.Slice(sc.universe, nv)
 	for i := range universe {
 		universe[i] = -1
 	}
-	var copies []copySite
-	mark := func(v ir.VarID) {
-		if universe[v] < 0 {
-			universe[v] = int32(ps.Nodes)
-			ps.Nodes++
-		}
-	}
+	copies := sc.copies[:0]
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -169,32 +197,41 @@ func coalescePass(f *ir.Func, opt Options, cum []ir.VarID) (PassStats, bool) {
 					d = opt.Depth[b.ID]
 				}
 				copies = append(copies, copySite{block: b.ID, idx: i, depth: d})
-				mark(in.Def)
-				mark(in.Args[0])
+				ps.Nodes = addNode(universe, ps.Nodes, in.Def)
+				ps.Nodes = addNode(universe, ps.Nodes, in.Args[0])
 			} else if !opt.Improved {
 				// Original Briggs: every name in the code is a node.
 				if in.Op.HasDef() {
-					mark(in.Def)
+					ps.Nodes = addNode(universe, ps.Nodes, in.Def)
 				}
 				for _, a := range in.Args {
-					mark(a)
+					ps.Nodes = addNode(universe, ps.Nodes, a)
 				}
 			}
 		}
 	}
+	sc.universe, sc.copies = universe, copies
 	if len(copies) == 0 {
 		return ps, false
 	}
 
-	live := liveness.Compute(f)
-	g := Build(f, live, BuildOptions{Universe: universe, N: ps.Nodes})
+	// Liveness and the walk cover the graph's nodes only: the matrix
+	// reads nothing else.
+	live := liveness.ComputeKeptScratch(f, universe, &sc.live)
+	g := &sc.graph
+	g.reset(ps.Nodes)
+	sc.cur = reuse.Slice(sc.cur, (ps.Nodes+63)/64)
+	Interferences(f, live, universe, sc.cur, g)
 	ps.MatrixBytes = g.MatrixBytes
 	ps.AdjBytes = g.AdjBytes
 
 	// Deepest loops first; stable within a depth to stay deterministic.
-	sort.SliceStable(copies, func(i, j int) bool { return copies[i].depth > copies[j].depth })
+	if opt.Depth != nil {
+		slices.SortStableFunc(copies, func(a, b copySite) int { return cmp.Compare(b.depth, a.depth) })
+	}
 
-	uf := unionfind.New(nv)
+	uf := &sc.uf
+	uf.Reset(nv)
 	for _, site := range copies {
 		in := &f.Blocks[site.block].Instrs[site.idx]
 		ps.CopiesExamined++
@@ -243,29 +280,18 @@ func coalescePass(f *ir.Func, opt Options, cum []ir.VarID) (PassStats, bool) {
 		}
 		b.Instrs = out
 	}
-	if cum != nil {
-		for v := range cum {
-			cum[v] = ir.VarID(uf.Find(int(cum[v])))
-		}
+	for v := range cum {
+		cum[v] = ir.VarID(uf.Find(int(cum[v])))
 	}
 	return ps, true
 }
 
-// Check validates that a universe mapping is internally consistent (used
-// by tests and the verifier).
-func Check(universe []int32, n int) error {
-	seen := make([]bool, n)
-	for v, u := range universe {
-		if u < 0 {
-			continue
-		}
-		if int(u) >= n {
-			return fmt.Errorf("ifgraph: var %d maps to node %d >= %d", v, u, n)
-		}
-		if seen[u] {
-			return fmt.Errorf("ifgraph: node %d mapped twice", u)
-		}
-		seen[u] = true
+// addNode makes v a graph node numbered next, unless it already is one,
+// and returns the next free node number.
+func addNode(universe []int32, next int, v ir.VarID) int {
+	if universe[v] < 0 {
+		universe[v] = int32(next)
+		next++
 	}
-	return nil
+	return next
 }

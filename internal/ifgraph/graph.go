@@ -6,13 +6,18 @@
 // code) and the paper's §4.1 improvement ("Briggs*": while the loop is
 // iterating, the matrix covers only names involved in copies, reached
 // through a compact mapping array) — identical results, orders of
-// magnitude less matrix memory.
+// magnitude less matrix memory. Each pass solves and walks liveness over
+// its graph's names only, on memory a Scratch keeps across passes and
+// functions.
 package ifgraph
 
 import (
+	"math/bits"
+
 	"fastcoalesce/internal/bitset"
 	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/liveness"
+	"fastcoalesce/internal/reuse"
 )
 
 // Graph is an undirected interference graph over a dense node namespace,
@@ -30,14 +35,21 @@ type Graph struct {
 
 // NewGraph returns an empty graph over n nodes.
 func NewGraph(n int) *Graph {
-	bits := n * (n - 1) / 2
-	g := &Graph{
-		n:      n,
-		matrix: bitset.New(bits),
-		adj:    make([][]int32, n),
-	}
-	g.MatrixBytes = int64(len(g.matrix) * 8)
+	g := &Graph{}
+	g.reset(n)
 	return g
+}
+
+// reset empties g and resizes it to n nodes, reusing its matrix and
+// adjacency memory. MatrixBytes is the n-node matrix's size whatever
+// capacity stands behind it, so a reused graph accounts exactly as a
+// fresh one.
+func (g *Graph) reset(n int) {
+	g.n = n
+	g.matrix = reuse.Zeroed(g.matrix, (n*(n-1)/2+63)/64)
+	g.adj = reuse.Truncated(g.adj, n)
+	g.MatrixBytes = int64(len(g.matrix) * 8)
+	g.AdjBytes = 0
 }
 
 // N returns the node count.
@@ -92,6 +104,18 @@ func (g *Graph) Merge(i, j int32) {
 // Degree returns the current degree of node i.
 func (g *Graph) Degree(i int32) int { return len(g.adj[i]) }
 
+// Visit adds an edge between d and every node in across. It makes
+// *Graph the Visitor through which Interferences fills a graph.
+//
+// fc:hotpath
+func (g *Graph) Visit(d int32, across bitset.Set) {
+	for wi, w := range across {
+		for ; w != 0; w &= w - 1 {
+			g.AddEdge(d, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+}
+
 // BuildOptions selects the node namespace for Build.
 type BuildOptions struct {
 	// Universe maps each variable to its dense node index, or -1 for
@@ -105,49 +129,52 @@ type BuildOptions struct {
 
 // Build constructs the interference graph of f over the namespace opt
 // selects: an edge joins every pair Interferences visits. f must contain
-// no φ-nodes (destruction first).
+// no φ-nodes (destruction first). The build/coalesce loop fills a
+// reused graph through the same walk instead.
 func Build(f *ir.Func, live *liveness.Info, opt BuildOptions) *Graph {
-	var node func(ir.VarID) int32
-	var n int
+	n := opt.N
 	if opt.Universe == nil {
 		n = f.NumVars()
-		node = func(v ir.VarID) int32 { return int32(v) }
-	} else {
-		n = opt.N
-		node = func(v ir.VarID) int32 { return opt.Universe[v] }
 	}
 	g := NewGraph(n)
-	Interferences(f, live, bitset.New(f.NumVars()), func(d ir.VarID, across bitset.Set) {
-		dn := node(d)
-		if dn < 0 {
-			return
-		}
-		across.ForEach(func(l int) {
-			if ln := node(ir.VarID(l)); ln >= 0 {
-				g.AddEdge(dn, ln)
-			}
-		})
-	})
+	Interferences(f, live, opt.Universe, bitset.New(n), g)
 	return g
+}
+
+// A Visitor receives Interferences' walk.
+type Visitor interface {
+	// Visit is called at each definition of node d with the set of nodes
+	// live across it. across aliases the walk's live set and is valid
+	// only during the call; Visit must not modify it.
+	Visit(d int32, across bitset.Set)
 }
 
 // Interferences is the one definition of the interference relation,
 // Chaitin's backward walk over each block from its live-out set: at each
-// definition d, visit(d, across) receives the names live across it, and
+// definition d, v.Visit(d, across) receives the names live across it, and
 // d interferes with exactly those. A copy's source is left out of its
 // destination's set, which is what makes coalescing copies possible at
 // all. A dead definition still gets its visit (it occupies a register at
 // the definition point).
 //
-// cur is the walk's live set and must hold at least f.NumVars() bits; its
-// contents on entry are ignored. across aliases cur and is valid only
-// during the call; visit must not modify it. f must contain no φ-nodes.
-func Interferences(f *ir.Func, live *liveness.Info, cur bitset.Set, visit func(d ir.VarID, across bitset.Set)) {
+// The walk runs over nodes: node[x] is name x's node, or -1 for a name
+// the walk ignores (no visit, never in across), and a nil node makes
+// every name its own node. live only needs to answer for the names that
+// are nodes, so the build/coalesce loop hands it liveness restricted to
+// its graph's names (liveness.ComputeKeptScratch).
+//
+// cur is the walk's live set and must hold a bit for every node; its
+// contents on entry are ignored. f must contain no φ-nodes.
+//
+// fc:hotpath
+func Interferences(f *ir.Func, live *liveness.Info, node []int32, cur bitset.Set, v Visitor) {
 	for _, b := range f.Blocks {
 		cur.Clear()
 		it := live.LiveOutNames(b.ID)
-		for v, ok := it.Next(); ok; v, ok = it.Next() {
-			cur.Add(int(v))
+		for x, ok := it.Next(); ok; x, ok = it.Next() {
+			if n := nodeOf(node, x); n >= 0 {
+				cur.Add(int(n))
+			}
 		}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
@@ -155,15 +182,32 @@ func Interferences(f *ir.Func, live *liveness.Info, cur bitset.Set, visit func(d
 				panic("ifgraph: interference walk requires φ-free code")
 			}
 			if in.Op.HasDef() {
-				cur.Remove(int(in.Def))
-				if in.Op == ir.OpCopy {
-					cur.Remove(int(in.Args[0]))
+				d := nodeOf(node, in.Def)
+				if d >= 0 {
+					cur.Remove(int(d))
 				}
-				visit(in.Def, cur)
+				if in.Op == ir.OpCopy {
+					if s := nodeOf(node, in.Args[0]); s >= 0 {
+						cur.Remove(int(s))
+					}
+				}
+				if d >= 0 {
+					v.Visit(d, cur)
+				}
 			}
 			for _, a := range in.Args {
-				cur.Add(int(a))
+				if n := nodeOf(node, a); n >= 0 {
+					cur.Add(int(n))
+				}
 			}
 		}
 	}
+}
+
+// nodeOf returns x's node under the map node (nil: the identity).
+func nodeOf(node []int32, x ir.VarID) int32 {
+	if node == nil {
+		return int32(x)
+	}
+	return node[x]
 }

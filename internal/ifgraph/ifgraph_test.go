@@ -257,15 +257,3 @@ func TestCoalesceWithLoopDepth(t *testing.T) {
 		t.Fatal("no passes recorded")
 	}
 }
-
-func TestCheckUniverse(t *testing.T) {
-	if err := Check([]int32{0, -1, 1}, 2); err != nil {
-		t.Fatalf("valid universe rejected: %v", err)
-	}
-	if err := Check([]int32{0, 0}, 2); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-	if err := Check([]int32{5}, 2); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-}

@@ -20,9 +20,10 @@
 // the global names, not as all names: the compact-numbering device of
 // Briggs* (§4.1) applied to the live sets, and the sparse-analysis idea
 // of tracking only variables whose facts can be nonempty (Tavares et al.,
-// arXiv 1403.5952). Bits are numbered in increasing VarID order, so
-// iterating a set (LiveInNames, LiveOutNames) yields names in VarID
-// order.
+// arXiv 1403.5952). ComputeKeptScratch narrows the sets further, to the
+// global names a client reads. Bits are numbered in increasing VarID
+// order, so iterating a set (LiveInNames, LiveOutNames) yields names in
+// VarID order.
 //
 // Two solvers compute the same (unique) least fixpoint:
 //
@@ -58,7 +59,7 @@ import (
 type Info struct {
 	in    []bitset.Set // in[b]: live at block entry (after φ defs, excl. φ uses)
 	out   []bitset.Set // out[b]: live at block exit (incl. φ args flowing out of b)
-	bit   []int32      // VarID -> bit in the sets, or -1 for a non-global name
+	bit   []int32      // VarID -> bit in the sets, or -1 for a non-global or dropped name
 	names []ir.VarID   // bit -> VarID, increasing
 }
 
@@ -115,7 +116,21 @@ func Compute(f *ir.Func) *Info {
 //
 // fc:hotpath
 func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
-	li, order := sc.prepare(f)
+	return ComputeKeptScratch(f, nil, sc)
+}
+
+// ComputeKeptScratch is ComputeScratch restricted to the names keep
+// marks: name v is kept when keep[v] >= 0, and a nil keep keeps every
+// name. Only kept global names get a bit, so the sets are as wide as the
+// names a client reads (the interference-graph coalescer keeps its graph
+// nodes). The equations are independent bit by bit, so every kept name
+// gets exactly ComputeScratch's answers; every dropped name answers false
+// from LiveIn and LiveOut, and LiveInNames and LiveOutNames never yield
+// it. keep must cover f.NumVars() names.
+//
+// fc:hotpath
+func ComputeKeptScratch(f *ir.Func, keep []int32, sc *Scratch) *Info {
+	li, order := sc.prepare(f, keep)
 
 	// The φ contribution to Out is static: argument i of a φ in block s
 	// is live-out of s's i-th predecessor no matter what the fixpoint
@@ -131,8 +146,8 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 			}
 			for pi, a := range in.Args {
 				p := b.Preds[pi]
-				if sc.state[p] != 0 {
-					li.out[p].Add(int(li.bit[a]))
+				if k := li.bit[a]; k >= 0 && sc.state[p] != 0 {
+					li.out[p].Add(int(k))
 				}
 			}
 		}
@@ -203,7 +218,7 @@ func ComputeScratch(f *ir.Func, sc *Scratch) *Info {
 // same fixpoint as ComputeScratch and is kept as the tests' differential
 // oracle.
 func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
-	li, order := sc.prepare(f)
+	li, order := sc.prepare(f, nil)
 	sc.stats = Stats{Blocks: len(order)}
 	tmp := sc.arena.New(len(li.names))
 	for changed := true; changed; {
@@ -250,16 +265,16 @@ func ComputeRoundRobinScratch(f *ir.Func, sc *Scratch) *Info {
 	return li
 }
 
-// prepare resets sc for f, numbers f's global names, and computes the
-// block-local sets shared by both solvers: empty in/out,
-// upward-exposed uses, and defs, all over the global names' bits. It
-// returns the Info under construction and the reachable blocks in
-// postorder; afterwards sc.state[b] != 0 marks b reachable from the
-// entry.
-func (sc *Scratch) prepare(f *ir.Func) (*Info, []ir.BlockID) {
+// prepare resets sc for f, numbers f's kept global names (every global
+// name when keep is nil), and computes the block-local sets shared by
+// both solvers: empty in/out, upward-exposed uses, and defs, all over
+// the numbered names' bits. It returns the Info under construction and
+// the reachable blocks in postorder; afterwards sc.state[b] != 0 marks b
+// reachable from the entry.
+func (sc *Scratch) prepare(f *ir.Func, keep []int32) (*Info, []ir.BlockID) {
 	nb := len(f.Blocks)
 	li := &sc.info
-	li.numberGlobals(f)
+	li.numberGlobals(f, keep)
 	nw := len(li.names)
 
 	sc.arena.Reset()
@@ -298,9 +313,9 @@ func (sc *Scratch) prepare(f *ir.Func) (*Info, []ir.BlockID) {
 }
 
 // numberGlobals finds f's global names — upward-exposed in some block, or
-// a φ argument — and numbers them in increasing VarID order, filling the
-// VarID -> bit table (-1 for every other name) and the bit -> VarID list
-// in li's reused memory.
+// a φ argument — and numbers those keep marks (all of them when keep is
+// nil) in increasing VarID order, filling the VarID -> bit table (-1 for
+// every other name) and the bit -> VarID list in li's reused memory.
 //
 // The scan keeps one int32 per name in the table itself: 0 while the name
 // is unseen, b+1 while b is the block that last defined it, -1 once it is
@@ -309,7 +324,7 @@ func (sc *Scratch) prepare(f *ir.Func) (*Info, []ir.BlockID) {
 // b+1 can only have been written by an earlier instruction of b.
 //
 // fc:hotpath
-func (li *Info) numberGlobals(f *ir.Func) {
+func (li *Info) numberGlobals(f *ir.Func, keep []int32) {
 	bit := reuse.Zeroed(li.bit, f.NumVars())
 	for _, b := range f.Blocks {
 		here := int32(b.ID) + 1
@@ -327,7 +342,7 @@ func (li *Info) numberGlobals(f *ir.Func) {
 	}
 	names := li.names[:0]
 	for v, k := range bit {
-		if k < 0 {
+		if k < 0 && (keep == nil || keep[v] >= 0) {
 			bit[v] = int32(len(names))
 			names = append(names, ir.VarID(v))
 		} else {

@@ -340,23 +340,35 @@ func VerifyAllocationScratch(f *ir.Func, colors []int, k int, sc *Scratch) error
 	}
 	li := liveness.ComputeScratch(f, &sc.live)
 	sc.across = reuse.Slice(sc.across, (nv+63)/64)
-	clash := [2]ir.VarID{ir.NoVar, ir.NoVar}
-	ifgraph.Interferences(f, li, sc.across, func(d ir.VarID, across bitset.Set) {
-		if clash[0] != ir.NoVar {
-			return
-		}
-		c := colors[d]
-		across.ForEach(func(l int) {
-			if colors[l] == c && clash[0] == ir.NoVar {
-				clash = [2]ir.VarID{d, ir.VarID(l)}
-			}
-		})
-	})
+	cf := &sc.clash
+	*cf = clashFinder{colors: colors, clash: [2]ir.VarID{ir.NoVar, ir.NoVar}}
+	ifgraph.Interferences(f, li, nil, sc.across, cf)
+	clash := cf.clash
+	cf.colors = nil // the Scratch must not keep the caller's colors alive
 	if clash[0] != ir.NoVar {
 		return fmt.Errorf("regalloc: interfering %s and %s share register r%d",
 			f.VarName(clash[0]), f.VarName(clash[1]), colors[clash[0]])
 	}
 	return nil
+}
+
+// clashFinder is VerifyAllocationScratch's walk visitor: it records the
+// first definition that shares its color with a name live across it.
+type clashFinder struct {
+	colors []int
+	clash  [2]ir.VarID
+}
+
+func (cf *clashFinder) Visit(d int32, across bitset.Set) {
+	if cf.clash[0] != ir.NoVar {
+		return
+	}
+	c := cf.colors[d]
+	across.ForEach(func(l int) {
+		if cf.colors[l] == c && cf.clash[0] == ir.NoVar {
+			cf.clash = [2]ir.VarID{ir.VarID(d), ir.VarID(l)}
+		}
+	})
 }
 
 // RewriteToRegisters renames every variable to its register, producing

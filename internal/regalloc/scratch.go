@@ -79,8 +79,11 @@ type Scratch struct {
 	spillGrow []int32
 	spillUses []int32
 
-	// VerifyAllocationScratch's live set, one bit per name.
+	// VerifyAllocationScratch's live set, one bit per name, and its
+	// ifgraph.Visitor (kept here so handing it to the walk allocates
+	// nothing).
 	across bitset.Set
+	clash  clashFinder
 }
 
 // beginAlloc opens one Allocate call: a new spill generation covering
