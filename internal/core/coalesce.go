@@ -109,7 +109,7 @@ type Stats struct {
 	ClassMembers   int    // members across those classes
 	CopiesInserted int    // copies materialized in step 4 (incl. temps)
 	TempsCreated   int    // cycle/terminator temporaries
-	LivenessVisits int    // liveness solver work (liveness.Stats.Visits)
+	LivenessVisits int    // liveness solver work: explored (name, block) pairs (liveness.Stats.Visits)
 	DomRecomputes  int    // dominator computations run here (0 if Options.Dom reused)
 
 	// NameMap, filled when Options.RecordNameMap is set, maps every
@@ -126,9 +126,10 @@ type Stats struct {
 	AlgoTime     time.Duration
 }
 
-// Scratch holds the reusable state of one Coalesce run: the liveness and
-// dominator scratch, the union-find forest, the per-variable indexes, and
-// the class/rewrite buffers. A warm Scratch makes the steady-state
+// Scratch holds the reusable state of one Coalesce run: the liveness
+// scratch (path exploration, whose per-block lists suit SSA form) and
+// dominator scratch, the union-find forest, the per-variable indexes,
+// and the class/rewrite buffers. A warm Scratch makes the steady-state
 // conversion of same-sized functions allocation-free (copy
 // materialization aside): every piece of per-run bookkeeping is a dense
 // generation-stamped slice, so "clearing" between runs is a counter
@@ -139,7 +140,7 @@ type Stats struct {
 // worker. The zero value is ready to use. A Scratch must not be copied
 // after first use, and the Stats returned by CoalesceScratch aliases it.
 type Scratch struct {
-	live   liveness.Scratch
+	live   liveness.PathScratch
 	dom    dom.Tree
 	freq   dom.FreqScratch
 	uf     unionfind.UF
@@ -252,7 +253,7 @@ type coalescer struct {
 	st   *Stats
 	sc   *Scratch
 	dt   *dom.Tree
-	live *liveness.Info
+	live *liveness.ListInfo
 
 	defBlock []ir.BlockID // defining block per var (NoBlock if undefined)
 	defIdx   []int32      // instruction index of the definition
@@ -305,7 +306,7 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 	sc.viaGen = reuse.Slice(sc.viaGen, nv)
 	sc.st = Stats{DomRecomputes: domRecomputes}
 	opt.Obs.Begin(obs.PhaseLiveness)
-	live := liveness.ComputeScratch(f, &sc.live)
+	live := liveness.ComputePathsScratch(f, &sc.live)
 	opt.Obs.End(obs.PhaseLiveness)
 	sc.st.LivenessVisits = sc.live.LastStats().Visits
 	c := &sc.co

@@ -20,7 +20,7 @@ type FuncMetrics struct {
 	CopiesCoalesced int // copies eliminated (unions / graph coalesces)
 	StaticCopies    int // copy instructions in the final code
 	CheckFindings   int // diagnostics reported by the audit
-	LivenessVisits  int // liveness solver work (liveness.Stats.Visits)
+	LivenessVisits  int // liveness solver work (liveness.Stats.Visits of every solve)
 	DomRecomputes   int // dominator computations across the pipeline
 
 	Spills         int // live ranges sent to the spill array

@@ -50,7 +50,7 @@ func newBatchMetrics(cfg Config) batchMetrics {
 		coalesced: reg.Counter("fastcoalesce_copies_coalesced_total",
 			"Copies eliminated (unions / graph coalesces).", algo),
 		visits: reg.Counter("fastcoalesce_liveness_visits_total",
-			"Block evaluations by the worklist liveness solver.", algo),
+			"Liveness solver work: block evaluations by the worklist solver, (name, block) pairs explored by path exploration.", algo),
 		domruns: reg.Counter("fastcoalesce_dom_recomputes_total",
 			"Dominator-tree computations.", algo),
 		static: reg.Histogram("fastcoalesce_static_copies",

@@ -83,21 +83,25 @@ func Destruct(f *ir.Func, st *ssa.Stats, cfg Config, sc *Scratch) (DestructStats
 		}
 		ds.NameMap = ds.Core.NameMap
 	case Briggs, BriggsStar:
-		joinMap := ifgraph.JoinPhiWebs(f)
+		gsc := sc.graphScratch()
+		joinMap := ifgraph.JoinPhiWebsScratch(f, gsc)
 		opt := ifgraph.Options{Improved: cfg.Algo == BriggsStar, RecordNameMap: record}
-		// Only copies read the loop depth. JoinPhiWebs only renames; the
+		// Only copies read the loop depth. The join only renames; the
 		// CFG is unchanged since the SSA build, so its dominator tree
 		// serves the query.
 		if f.CountCopies() > 0 {
 			opt.Depth = st.Dom.LoopDepthInto(sc.loopScratch())
 		}
-		ds.Graph = *ifgraph.CoalesceScratch(f, opt, sc.graphScratch())
+		ds.Graph = *ifgraph.CoalesceScratch(f, opt, gsc)
 		if record {
-			// Compose the two renamings: SSA name → φ-web rep → final name.
-			for v := range joinMap {
-				joinMap[v] = ds.Graph.NameMap[joinMap[v]]
+			// Compose the two renamings: SSA name → φ-web rep → final
+			// name. The join's map belongs to the worker's scratch, so
+			// the composition gets its own.
+			nameMap := make([]ir.VarID, len(joinMap))
+			for v, rep := range joinMap {
+				nameMap[v] = ds.Graph.NameMap[rep]
 			}
-			ds.NameMap = joinMap
+			ds.NameMap = nameMap
 		}
 	default:
 		return ds, fmt.Errorf("driver: unknown algorithm %v", cfg.Algo)

@@ -21,7 +21,22 @@ import (
 // The returned slice maps every pre-join VarID to its web representative;
 // internal/analysis audits it against an independent interference graph.
 func JoinPhiWebs(f *ir.Func) []ir.VarID {
-	uf := unionfind.New(f.NumVars())
+	return JoinPhiWebsScratch(f, nil)
+}
+
+// JoinPhiWebsScratch is JoinPhiWebs on sc's union-find and name map, so
+// a warm Scratch joins a function without allocating. The returned map
+// aliases sc and is invalidated by the next JoinPhiWebsScratch call with
+// the same Scratch; CoalesceScratch leaves it intact. A nil sc
+// allocates cold.
+//
+// fc:hotpath
+func JoinPhiWebsScratch(f *ir.Func, sc *Scratch) []ir.VarID {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	uf := &sc.uf
+	uf.Reset(f.NumVars())
 	for _, b := range f.Blocks {
 		for i := 0; i < b.NumPhis(); i++ {
 			in := &b.Instrs[i]
@@ -30,7 +45,8 @@ func JoinPhiWebs(f *ir.Func) []ir.VarID {
 			}
 		}
 	}
-	rep := make([]ir.VarID, f.NumVars())
+	rep := reuse.Slice(sc.rep, f.NumVars())
+	sc.rep = rep
 	for v := range rep {
 		rep[v] = ir.VarID(uf.Find(v))
 	}
@@ -108,9 +124,10 @@ type Options struct {
 	RecordNameMap bool
 }
 
-// Scratch holds the reusable state of the build/coalesce loop: the
-// liveness scratch, the node universe, the copy list, the union-find
-// forest, the graph's matrix and adjacency lists, the walk's live set,
+// Scratch holds the reusable state of the φ-web join and the
+// build/coalesce loop: the liveness scratch, the node universe, the copy
+// list, the union-find forest (the join's, then each pass's), the join's
+// name map, the graph's matrix and adjacency lists, the walk's live set,
 // and the statistics CoalesceScratch returns. The zero value is ready to
 // use; once warm, a pass allocates only where a function outgrows every
 // earlier one. A Scratch belongs to one goroutine; the batch driver
@@ -120,6 +137,7 @@ type Scratch struct {
 	universe []int32
 	copies   []copySite
 	uf       unionfind.UF
+	rep      []ir.VarID
 	graph    Graph
 	cur      bitset.Set
 	st       CoalesceStats

@@ -13,11 +13,10 @@ import (
 	"fastcoalesce/internal/ssa"
 )
 
-// briggsInput puts f into the φ-free form the coalescer takes: SSA
-// without copy folding, then the φ webs joined.
-func briggsInput(f *ir.Func) *ir.Func {
+// briggsSSA puts f into the SSA form the Briggs pipelines join: SSA
+// without copy folding.
+func briggsSSA(f *ir.Func) *ir.Func {
 	ssa.Build(f, ssa.Options{Flavor: ssa.Pruned, FoldCopies: false})
-	ifgraph.JoinPhiWebs(f)
 	return f
 }
 
@@ -28,13 +27,15 @@ func generated(t *testing.T, seed int64, stmts int) *ir.Func {
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	return briggsInput(f)
+	return briggsSSA(f)
 }
 
-// TestScratchMatchesCold compiles functions in the order large, small,
-// large, with and without copies, on one reused Scratch under both
-// Improved settings, and requires the output text, every pass's
-// statistics and the name map to equal a cold Coalesce of the same
+// TestScratchMatchesCold joins the φ webs of functions in the order
+// large, small, large, with and without copies, and coalesces them, on
+// one reused Scratch under both Improved settings. The join must return
+// the cold JoinPhiWebs map and text, and the map must survive the
+// coalescer's use of the same Scratch; the output text, every pass's
+// statistics and the name map must equal a cold Coalesce of the same
 // input.
 func TestScratchMatchesCold(t *testing.T) {
 	compile := func(src string) *ir.Func {
@@ -42,7 +43,7 @@ func TestScratchMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return briggsInput(f)
+		return briggsSSA(f)
 	}
 	const swap = `
 func swap(n int) int {
@@ -60,13 +61,16 @@ func swap(n int) int {
 	inputs := []*ir.Func{
 		generated(t, 11, 1500),
 		compile(swap),
-		briggsInput(bench.DeepLoopNest(300)),
+		briggsSSA(bench.DeepLoopNest(300)),
 		compile("func nocopies(a int, b int) int {\n\treturn a * b + 1\n}"),
 		generated(t, 12, 1200),
 		compile(swap),
 	}
 	if inputs[0].CountCopies() == 0 || inputs[2].CountCopies() != 0 || inputs[3].CountCopies() != 0 {
 		t.Fatal("inputs do not alternate functions with and without copies")
+	}
+	if inputs[0].CountPhis() == 0 || inputs[4].CountPhis() == 0 {
+		t.Fatal("the large inputs have no φ webs to join")
 	}
 	for _, improved := range []bool{false, true} {
 		var sc ifgraph.Scratch
@@ -78,8 +82,19 @@ func swap(n int) int {
 				RecordNameMap: true,
 			}
 			cold, warm := in.Clone(), in.Clone()
+			wantJoin := ifgraph.JoinPhiWebs(cold)
+			gotJoin := ifgraph.JoinPhiWebsScratch(warm, &sc)
+			if warm.String() != cold.String() {
+				t.Fatalf("%s: joined text differs from cold JoinPhiWebs", label)
+			}
+			if !reflect.DeepEqual(gotJoin, wantJoin) {
+				t.Fatalf("%s: join map differs from cold JoinPhiWebs", label)
+			}
 			want := ifgraph.Coalesce(cold, opt)
 			got := ifgraph.CoalesceScratch(warm, opt, &sc)
+			if !reflect.DeepEqual(gotJoin, wantJoin) {
+				t.Fatalf("%s: CoalesceScratch changed the join map", label)
+			}
 			if warm.String() != cold.String() {
 				t.Fatalf("%s: output differs from cold Coalesce", label)
 			}

@@ -2,9 +2,11 @@ package ir
 
 import "fmt"
 
-// opArity fixes the operand count of every opcode with a static arity
-// (φ arity is the predecessor count, checked separately).
-var opArity = map[Op]int{
+// opArity fixes the operand count of every opcode with a static arity;
+// -1 marks the others (φ arity is the predecessor count, checked
+// separately).
+var opArity = [numOps]int8{
+	OpInvalid: -1, OpPhi: -1,
 	OpConst: 0, OpCopy: 1, OpParam: 0,
 	OpAdd: 2, OpSub: 2, OpMul: 2, OpDiv: 2, OpRem: 2,
 	OpNeg: 1, OpNot: 1,
@@ -25,18 +27,24 @@ func (f *Func) Verify() error {
 	if len(f.Blocks[f.Entry].Preds) != 0 {
 		return fmt.Errorf("%s: entry block b%d has predecessors", f.Name, f.Entry)
 	}
-	for _, b := range f.Blocks {
+	// definedIn[v] == k+1 while the k-th block checked has defined v, so
+	// one table serves every block's duplicate-definition check.
+	var definedIn []int32
+	if f.IsSSA {
+		definedIn = make([]int32, len(f.VarNames))
+	}
+	for k, b := range f.Blocks {
 		if b == nil {
 			continue
 		}
-		if err := f.verifyBlock(b); err != nil {
+		if err := f.verifyBlock(b, definedIn, int32(k)+1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *Func) verifyBlock(b *Block) error {
+func (f *Func) verifyBlock(b *Block, definedIn []int32, mark int32) error {
 	// Edge symmetry.
 	for _, s := range b.Succs {
 		if int(s) >= len(f.Blocks) || f.Blocks[s] == nil {
@@ -75,17 +83,23 @@ func (f *Func) verifyBlock(b *Block) error {
 				}
 			}
 		}
-		seen := make(map[VarID]int, len(b.Instrs))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if !in.Op.HasDef() || in.Def == NoVar {
 				continue
 			}
-			if j, dup := seen[in.Def]; dup {
+			if in.Def < 0 || int(in.Def) >= len(definedIn) {
+				continue // a bad def, reported below
+			}
+			if definedIn[in.Def] == mark {
+				j := 0
+				for b.Instrs[j].Def != in.Def || !b.Instrs[j].Op.HasDef() {
+					j++
+				}
 				return fmt.Errorf("%s: SSA block b%d defines %s twice (b%d.%d and b%d.%d)",
 					f.Name, b.ID, f.VarName(in.Def), b.ID, j, b.ID, i)
 			}
-			seen[in.Def] = i
+			definedIn[in.Def] = mark
 		}
 	}
 
@@ -97,7 +111,13 @@ func (f *Func) verifyBlock(b *Block) error {
 	if !term.Op.IsTerminator() {
 		return fmt.Errorf("%s: b%d does not end in a terminator (got %s)", f.Name, b.ID, term.Op)
 	}
-	wantSuccs := map[Op]int{OpJmp: 1, OpBr: 2, OpRet: 0}[term.Op]
+	wantSuccs := 0
+	switch term.Op {
+	case OpJmp:
+		wantSuccs = 1
+	case OpBr:
+		wantSuccs = 2
+	}
 	if len(b.Succs) != wantSuccs {
 		return fmt.Errorf("%s: b%d terminator %s has %d successors, want %d",
 			f.Name, b.ID, term.Op, len(b.Succs), wantSuccs)
@@ -134,7 +154,7 @@ func (f *Func) verifyBlock(b *Block) error {
 				return fmt.Errorf("%s: b%d.%d %s has bad arg %d", f.Name, b.ID, i, in.Op, a)
 			}
 		}
-		if want, fixed := opArity[in.Op]; fixed && len(in.Args) != want {
+		if want := int(opArity[in.Op]); want >= 0 && len(in.Args) != want {
 			return fmt.Errorf("%s: b%d.%d %s has %d args, want %d",
 				f.Name, b.ID, i, in.Op, len(in.Args), want)
 		}

@@ -19,3 +19,15 @@ func OracleFuncs() []*ir.Func {
 	}
 	return out
 }
+
+// UnreachableFuncs regenerates, in order, the random φ-form functions
+// with unreachable blocks that TestWorklistVsRoundRobinUnreachable
+// checks, for the external tests.
+func UnreachableFuncs() []*ir.Func {
+	rng := rand.New(rand.NewSource(919191))
+	out := make([]*ir.Func, 300)
+	for i := range out {
+		out[i] = randomCFGKeepUnreachable(rng, 4+rng.Intn(12), 2+rng.Intn(6))
+	}
+	return out
+}

@@ -25,25 +25,33 @@
 // order, so iterating a set (LiveInNames, LiveOutNames) yields names in
 // VarID order.
 //
-// Two solvers compute the same (unique) least fixpoint:
+// Three solvers compute the same (unique) least fixpoint:
 //
-//   - the production predecessor-driven worklist solver (ComputeScratch):
-//     blocks are seeded once in postorder and thereafter a block is
-//     revisited only when the live-in set of one of its successors grew,
-//     in the spirit of sparse dataflow evaluation — on typical CFGs most
-//     blocks are processed once or twice;
+//   - the predecessor-driven worklist solver (ComputeScratch) over the
+//     bitsets above: blocks are seeded once in postorder and thereafter
+//     a block is revisited only when the live-in set of one of its
+//     successors grew, in the spirit of sparse dataflow evaluation — on
+//     typical CFGs most blocks are processed once or twice. SSA
+//     construction, the Briggs passes, the register allocator and the
+//     auditors run it;
+//   - path exploration (ComputePathsScratch, paths.go), which walks each
+//     name up from its uses and keeps per-block name lists (ListInfo)
+//     instead of bitsets. New's SSA destruction runs it: in SSA form
+//     few names are live at any block, and there the lists beat the
+//     bitsets, while on pre-SSA and destructed code the bitsets win
+//     (EXPERIMENTS.md, "Substrate-solver crossovers");
 //   - the round-robin solver (ComputeRoundRobinScratch): full postorder
 //     sweeps until a sweep changes nothing. Only the tests call it, as
 //     the differential oracle and the simplest possible reference
 //     implementation.
 //
-// Blocks unreachable from the entry keep empty sets under both solvers.
+// Blocks unreachable from the entry keep empty sets under all three.
 //
-// Concurrency: an Info is immutable once returned and safe for concurrent
-// readers. A Scratch is a single-goroutine arena; ComputeScratch recycles
-// it, so the Info it returns is valid only until the next
-// Compute*Scratch call with the same Scratch. The batch driver keeps one
-// Scratch per worker.
+// Concurrency: an Info or ListInfo is immutable once returned and safe
+// for concurrent readers. A Scratch or PathScratch is a single-goroutine
+// arena that the next computation with it recycles, so the result it
+// returned is valid only until then. The batch driver keeps one of each
+// per worker (inside the ssa and core scratches).
 package liveness
 
 import (
@@ -89,15 +97,17 @@ type Scratch struct {
 	stats Stats
 }
 
-// Stats describes the work of the last Compute*Scratch call on this
-// Scratch — the observable behind the worklist solver's efficiency
-// claim. Visits/Blocks near 1.0 means most blocks reached their fixpoint
-// in one evaluation; the round-robin oracle reports sweeps × blocks. The
-// batch driver surfaces the totals as the
+// Stats describes the work of the last computation on a Scratch or
+// PathScratch. For the worklist solver a visit is one block evaluation,
+// so Visits/Blocks near 1.0 means most blocks reached their fixpoint in
+// one evaluation; the round-robin oracle reports sweeps × blocks. For
+// path exploration a visit is one explored (name, block) pair: a block
+// where the name is live-in, whose predecessors the walk then examined.
+// The batch driver surfaces the totals as the
 // fastcoalesce_liveness_visits_total metric.
 type Stats struct {
 	Blocks int // reachable blocks seen by the run
-	Visits int // block evaluations until the fixpoint
+	Visits int // block evaluations, or explored (name, block) pairs
 }
 
 // LastStats returns the statistics of the most recent computation.

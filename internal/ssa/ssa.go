@@ -100,6 +100,8 @@ type Scratch struct {
 
 	stacks  [][]ir.VarID
 	counter []int
+	pushed  []ir.VarID
+	frames  []renameFrame
 }
 
 // Stats reports what construction did.
@@ -257,10 +259,12 @@ func Build(f *ir.Func, opt Options) *Stats {
 		st:      st,
 		stacks:  sc.stacks,
 		counter: sc.counter,
+		pushed:  sc.pushed[:0],
 		phiOrig: phiOrig,
 		undefs:  make(map[ir.VarID]ir.VarID),
 	}
-	r.renameBlock(f.Entry)
+	sc.frames = r.rename(sc.frames[:0])
+	sc.pushed = r.pushed[:0]
 	compactDeleted(f)
 	st.SSAVars = f.NumVars()
 	f.IsSSA = true
@@ -291,8 +295,17 @@ type renamer struct {
 	st      *Stats
 	stacks  [][]ir.VarID // per original var: stack of current SSA names
 	counter []int        // per original var: next suffix
+	pushed  []ir.VarID   // original vars pushed by the blocks on the walk, for popping
 	phiOrig [][]ir.VarID // per block: original var of each φ (in φ order)
 	undefs  map[ir.VarID]ir.VarID
+}
+
+// renameFrame is one block on the dominator-tree walk: the next child to
+// visit, and where the block's pushes start in renamer.pushed.
+type renameFrame struct {
+	b      ir.BlockID
+	child  int
+	pushed int
 }
 
 // undef returns (creating on first use) a zero-initialized SSA name for
@@ -325,10 +338,38 @@ func (r *renamer) fresh(v ir.VarID) ir.VarID {
 	return nv
 }
 
+// rename walks the dominator tree from the entry in preorder, renaming
+// each block before its children and popping its pushes after them. The
+// walk keeps its own stack of frames (reusing frames' memory, which it
+// returns), so a dominator tree as deep as the function is long needs no
+// goroutine stack.
+func (r *renamer) rename(frames []renameFrame) []renameFrame {
+	frames = append(frames, renameFrame{b: r.f.Entry, pushed: len(r.pushed)})
+	r.renameBlock(r.f.Entry)
+	for len(frames) > 0 {
+		fr := &frames[len(frames)-1]
+		if kids := r.dt.Children[fr.b]; fr.child < len(kids) {
+			c := kids[fr.child]
+			fr.child++
+			frames = append(frames, renameFrame{b: c, pushed: len(r.pushed)})
+			r.renameBlock(c)
+			continue
+		}
+		for _, v := range r.pushed[fr.pushed:] {
+			r.stacks[v] = r.stacks[v][:len(r.stacks[v])-1]
+		}
+		r.pushed = r.pushed[:fr.pushed]
+		frames = frames[:len(frames)-1]
+	}
+	return frames
+}
+
+// renameBlock renames the definitions and uses of block b and fills the
+// φ arguments it feeds in its successors, pushing each new name on its
+// variable's stack and recording the variable in r.pushed.
 func (r *renamer) renameBlock(b ir.BlockID) {
 	f := r.f
 	blk := f.Blocks[b]
-	var pushed []ir.VarID // original vars pushed in this block, for popping
 
 	for i := range blk.Instrs {
 		in := &blk.Instrs[i]
@@ -340,7 +381,7 @@ func (r *renamer) renameBlock(b ir.BlockID) {
 			nn := r.fresh(v)
 			in.Def = nn
 			r.stacks[v] = append(r.stacks[v], nn)
-			pushed = append(pushed, v)
+			r.pushed = append(r.pushed, v)
 			continue
 		}
 		for ai, a := range in.Args {
@@ -353,7 +394,7 @@ func (r *renamer) renameBlock(b ir.BlockID) {
 		if r.opt.FoldCopies && in.Op == ir.OpCopy {
 			// Fold: the source's current SSA name stands for v from here on.
 			r.stacks[v] = append(r.stacks[v], in.Args[0])
-			pushed = append(pushed, v)
+			r.pushed = append(r.pushed, v)
 			in.Op = ir.OpInvalid
 			in.Args = nil
 			r.st.CopiesFolded++
@@ -362,7 +403,7 @@ func (r *renamer) renameBlock(b ir.BlockID) {
 		nn := r.fresh(v)
 		in.Def = nn
 		r.stacks[v] = append(r.stacks[v], nn)
-		pushed = append(pushed, v)
+		r.pushed = append(r.pushed, v)
 	}
 
 	// Fill φ arguments in successors for the positions fed by this block.
@@ -380,14 +421,6 @@ func (r *renamer) renameBlock(b ir.BlockID) {
 				}
 			}
 		}
-	}
-
-	for _, c := range r.dt.Children[b] {
-		r.renameBlock(c)
-	}
-
-	for _, v := range pushed {
-		r.stacks[v] = r.stacks[v][:len(r.stacks[v])-1]
 	}
 }
 
