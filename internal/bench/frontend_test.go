@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fastcoalesce/internal/ir"
 	"fastcoalesce/internal/lang"
 )
 
@@ -38,6 +39,45 @@ func TestFrontEndDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != frontEndDigest {
 		t.Errorf("front-end digest over %d compiles is %s, want %s", n, got, frontEndDigest)
+	}
+}
+
+// TestScratchMatchesCold compiles every digest input, in order, on one
+// reused lang.Scratch, as a driver worker does, and requires each result,
+// function or error, to be byte-identical to a cold compile of the same
+// source. The inputs mix valid functions with ones that fail to parse or
+// to lower midway, so a compile after a failed one must see none of its
+// state; the first two are such a pair, with a name the failed one
+// declared before it stopped. Each function must also survive the
+// next compile on the scratch unchanged.
+func TestScratchMatchesCold(t *testing.T) {
+	srcs := append([]string{
+		"func f(a int) int {\n\tvar x = a\n\treturn y\n}\n",
+		"func g(a int) int {\n\tvar x = a\n\treturn x\n}\n",
+	}, frontEndInputs(t)...)
+	var sc lang.Scratch
+	render := func(f *ir.Func, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return f.String()
+	}
+	var prev *ir.Func
+	var prevText string
+	for i, src := range srcs {
+		f, err := lang.CompileOneScratch(src, &sc)
+		got := render(f, err)
+		if want := render(lang.CompileOne(src)); got != want {
+			t.Fatalf("input %d: on a reused scratch:\n%s\ncold:\n%s", i, got, want)
+		}
+		// A returned function shares nothing with the scratch: the
+		// next compile must leave it as it was.
+		if prev != nil && prev.String() != prevText {
+			t.Fatalf("input %d: compiling it changed the function compiled before", i)
+		}
+		if err == nil {
+			prev, prevText = f, got
+		}
 	}
 }
 
@@ -120,12 +160,13 @@ func BenchmarkFrontEnd(b *testing.B) {
 }
 
 // TestFrontEndAllocations pins the allocations of compiling the 29
-// suite kernels from source, 13 045 objects or about 450 per kernel.
-// The front end allocates the AST, the IR and its tables, and nothing
-// per token or per argument list; an overrun means such an allocation
-// came back. The count includes the growth of one symbol-table map per
-// function, so a Go release with another map layout may need the pin
-// measured again.
+// suite kernels from source cold, 3 695 objects or about 127 per kernel.
+// The front end allocates the AST in chunks per node type, stages the IR
+// in a few arrays and seals it into one allocation per kind, and
+// allocates nothing per node, token, instruction, block, edge list or
+// name; an overrun means such an allocation came back. The count
+// includes the growth of one symbol-table map per function, so a Go
+// release with another map layout may need the pin measured again.
 func TestFrontEndAllocations(t *testing.T) {
 	ws := Workloads()
 	compileAll := func() {
@@ -136,7 +177,7 @@ func TestFrontEndAllocations(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(5, compileAll)
-	const budget = 13045
+	const budget = 3695
 	if avg > budget {
 		t.Errorf("compiling the %d suite kernels allocates %.0f objects (%.0f per kernel), budget %d",
 			len(ws), avg, avg/float64(len(ws)), budget)

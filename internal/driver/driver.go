@@ -272,15 +272,16 @@ func (s sliceReducer) Reduce(r *Result) { s[r.Index] = *r }
 
 // load materializes a job's input function: a prebuilt Func as is
 // (shared with the caller, so it must be cloned before it is compiled),
-// IR text parsed, or kernel-language source compiled.
-func load(j Job) (*ir.Func, error) {
+// IR text parsed, or kernel-language source compiled on sc's front-end
+// scratch (cold for a nil or cold sc).
+func load(j Job, sc *Scratch) (*ir.Func, error) {
 	switch {
 	case j.Func != nil:
 		return j.Func, nil
 	case j.IR:
 		return ir.Parse(j.Src)
 	default:
-		return lang.CompileOne(j.Src)
+		return lang.CompileOneScratch(j.Src, sc.langScratch())
 	}
 }
 
@@ -311,7 +312,7 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 	res := Result{Index: idx, Name: j.Name}
 	t0 := time.Now()
 	tr.Begin(obs.PhaseParse)
-	f, err := load(j)
+	f, err := load(j, sc)
 	if j.Func != nil && cfg.Cache == nil {
 		f = f.Clone() // with a cache, a prebuilt job is cloned only on a miss
 	}

@@ -104,6 +104,25 @@ func TestScratchReuseCutsAllocations(t *testing.T) {
 	}
 }
 
+// TestWarmPassAllocations pins one worker's steady state from source:
+// the second pass over the suite kernels, through the front end on the
+// worker's scratch, BuildSSA, Destruct and Verify under New, allocates
+// at most half of parentPassBytes (about 53 KB per kernel). A run of two
+// passes and a run of one differ by exactly that pass.
+func TestWarmPassAllocations(t *testing.T) {
+	one := kernelJobs(t)
+	two := append(append([]driver.Job(nil), one...), one...)
+	cfg := driver.Config{Algo: driver.New, Workers: 1}
+	driver.Run(one, cfg) // absorb one-time runtime costs
+	_, s1 := driver.Run(one, cfg)
+	_, s2 := driver.Run(two, cfg)
+	second := s2.AllocBytes - s1.AllocBytes
+	t.Logf("second pass: %d bytes, %d per kernel", second, second/int64(len(one)))
+	if budget := int64(parentPassBytes / 2); second > budget {
+		t.Errorf("a worker's second suite pass allocates %d bytes, budget %d", second, budget)
+	}
+}
+
 // TestBriggsStarScratchReuseCutsAllocations is the same steady-state
 // claim for the Briggs* pipeline: on one worker, a warm batch must
 // allocate at most half of the cold baseline, because the

@@ -1,0 +1,8 @@
+//go:build !race
+
+package driver_test
+
+// parentPassBytes is what a worker's second pass over the suite kernels
+// allocated under New with no front-end scratch and no bulk IR storage,
+// measured as TestWarmPassAllocations measures it.
+const parentPassBytes = 1537072

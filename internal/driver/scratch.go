@@ -4,13 +4,15 @@ import (
 	"fastcoalesce/internal/core"
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ifgraph"
+	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/regalloc"
 	"fastcoalesce/internal/ssa"
 )
 
 // Scratch is one worker's per-goroutine state: the reusable compilation
-// memory — the SSA construction scratch (liveness sets, dominator tree,
+// memory — the front end's scratch (AST slabs, symbol table, lowering
+// staging), the SSA construction scratch (liveness sets, dominator tree,
 // φ worklists), New's coalescer scratch (union-find forest, congruence
 // classes, rewrite buffers), the Briggs/Briggs* scratch (interference
 // matrix and adjacency lists, node universe, liveness, union-find) with
@@ -27,6 +29,7 @@ type Scratch struct {
 	cold bool        // Config.NoScratch: hand the passes nil scratches
 	obs  *obs.Tracer // per-worker tracer; nil when observability is off
 
+	lang     lang.Scratch
 	ssa      ssa.Scratch
 	core     core.Scratch
 	graph    ifgraph.Scratch
@@ -38,6 +41,15 @@ type Scratch struct {
 	// so a steady-state cache hit allocates nothing. It rides along even
 	// under NoScratch — it belongs to the cache layer, not the compile.
 	canon []byte
+}
+
+// langScratch returns the front end's scratch, or nil for a nil or cold
+// receiver (CompileOneScratch treats nil as cold).
+func (s *Scratch) langScratch() *lang.Scratch {
+	if s == nil || s.cold {
+		return nil
+	}
+	return &s.lang
 }
 
 // ssaScratch returns the ssa.Build scratch, or nil for a nil or cold

@@ -174,7 +174,7 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 	// Materialize the function: the router hashes canonical IR text, so
 	// source forms parse here rather than on the shard.
 	t0 := time.Now()
-	f, err := load(j)
+	f, err := load(j, nil)
 	if err != nil {
 		res.Err = err
 		p.bm.observe(&res)

@@ -21,16 +21,26 @@ import (
 )
 
 // Graph is an undirected interference graph over a dense node namespace,
-// stored as a triangular bit matrix plus adjacency lists.
+// stored as a triangular bit matrix plus adjacency lists. The lists share
+// one flat buffer of half-edges: an edge i–j is one half-edge in i's list
+// and one in j's, each list threaded newest first from head through next,
+// so a reused graph keeps the whole buffer however node degrees change.
 type Graph struct {
 	n      int
 	matrix bitset.Set
-	adj    [][]int32
+	head   []int32    // per node: its newest half-edge, or -1
+	halves []halfEdge // every list's half-edges, in insertion order
 
 	// MatrixBytes and AdjBytes account the memory this graph allocated,
 	// for the Table 1 comparison.
 	MatrixBytes int64
 	AdjBytes    int64
+}
+
+// halfEdge is one end of an edge: the neighbour it leads to and the
+// node's next older half-edge, or -1.
+type halfEdge struct {
+	to, next int32
 }
 
 // NewGraph returns an empty graph over n nodes.
@@ -47,7 +57,11 @@ func NewGraph(n int) *Graph {
 func (g *Graph) reset(n int) {
 	g.n = n
 	g.matrix = reuse.Zeroed(g.matrix, (n*(n-1)/2+63)/64)
-	g.adj = reuse.Truncated(g.adj, n)
+	g.head = reuse.Slice(g.head, n)
+	for i := range g.head {
+		g.head[i] = -1
+	}
+	g.halves = g.halves[:0]
 	g.MatrixBytes = int64(len(g.matrix) * 8)
 	g.AdjBytes = 0
 }
@@ -72,8 +86,9 @@ func (g *Graph) AddEdge(i, j int32) {
 		return
 	}
 	g.matrix.Add(idx)
-	g.adj[i] = append(g.adj[i], j)
-	g.adj[j] = append(g.adj[j], i)
+	g.halves = append(g.halves, halfEdge{to: j, next: g.head[i]}, halfEdge{to: i, next: g.head[j]})
+	h := int32(len(g.halves))
+	g.head[i], g.head[j] = h-2, h-1
 	g.AdjBytes += 8
 }
 
@@ -85,24 +100,38 @@ func (g *Graph) Interfere(i, j int32) bool {
 	return g.matrix.Has(triIndex(i, j))
 }
 
-// Neighbors returns the adjacency list of i (shared storage; do not
-// modify).
-func (g *Graph) Neighbors(i int32) []int32 { return g.adj[i] }
+// Neighbors returns the nodes adjacent to i, newest edge first, in a
+// fresh slice.
+func (g *Graph) Neighbors(i int32) []int32 {
+	var ns []int32
+	for h := g.head[i]; h >= 0; h = g.halves[h].next {
+		ns = append(ns, g.halves[h].to)
+	}
+	return ns
+}
 
 // Merge folds node j into node i: afterwards i interferes with everything
 // j interfered with. Used when a copy i=j is coalesced mid-pass so that
 // later decisions in the same pass stay conservative (Chaitin's in-place
-// update; the loop rebuilds the graph afterwards for precision).
+// update; the loop rebuilds the graph afterwards for precision). The
+// edges it adds join i's and their other ends' lists, never j's, so the
+// walk over j's list sees exactly the edges j had.
 func (g *Graph) Merge(i, j int32) {
-	for _, k := range g.adj[j] {
-		if k != i {
+	for h := g.head[j]; h >= 0; h = g.halves[h].next {
+		if k := g.halves[h].to; k != i {
 			g.AddEdge(i, k)
 		}
 	}
 }
 
 // Degree returns the current degree of node i.
-func (g *Graph) Degree(i int32) int { return len(g.adj[i]) }
+func (g *Graph) Degree(i int32) int {
+	d := 0
+	for h := g.head[i]; h >= 0; h = g.halves[h].next {
+		d++
+	}
+	return d
+}
 
 // Visit adds an edge between d and every node in across. It makes
 // *Graph the Visitor through which Interferences fills a graph.

@@ -8,10 +8,9 @@ import (
 
 // FuzzIRParse feeds arbitrary text to Parse. Parse must return a
 // function or an error, never both and never neither, and must not
-// panic; a function it returns must print and verify. Printing and
-// re-parsing is not asserted to round-trip: Parse accepts some variable
-// names, such as "jmp" or "0", that it rejects once printed. The seeds
-// are testdata/*.ir plus the committed corpus, which holds the
+// panic; a function it returns must verify, and its printed text must
+// parse back to a function that prints the same text. The seeds are
+// testdata/*.ir plus the committed corpus, which holds the
 // hugeBlockBodies inputs.
 func FuzzIRParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.ir"))
@@ -33,9 +32,16 @@ func FuzzIRParse(f *testing.F) {
 		if fn == nil {
 			return
 		}
-		_ = fn.String()
 		if err := fn.Verify(); err != nil {
 			t.Fatalf("parsed function fails Verify: %v", err)
+		}
+		text := fn.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("printed text does not parse: %v\n%s", err, text)
+		}
+		if text2 := again.String(); text2 != text {
+			t.Fatalf("print, parse, print differs:\n--- first ---\n%s\n--- second ---\n%s", text, text2)
 		}
 	})
 }

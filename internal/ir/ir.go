@@ -303,32 +303,74 @@ func (f *Func) CountPhis() int {
 	return n
 }
 
-// Clone returns a deep copy of f.
+// Clone returns a deep copy of f, its blocks in exact-size storage (see
+// packBlocks).
+//
+// fc:hotpath
 func (f *Func) Clone() *Func {
-	g := &Func{
+	return &Func{
 		Name:      f.Name,
 		Entry:     f.Entry,
 		IsSSA:     f.IsSSA,
+		Blocks:    packBlocks(f.Blocks, true),
 		VarNames:  append([]string(nil), f.VarNames...),
 		ArrNames:  append([]string(nil), f.ArrNames...),
 		ArrLens:   append([]int(nil), f.ArrLens...),
 		Params:    append([]VarID(nil), f.Params...),
 		ArrParams: append([]ArrID(nil), f.ArrParams...),
 	}
-	g.Blocks = make([]*Block, len(f.Blocks))
-	for i, b := range f.Blocks {
-		nb := &Block{
-			ID:    b.ID,
-			Succs: append([]BlockID(nil), b.Succs...),
-			Preds: append([]BlockID(nil), b.Preds...),
+}
+
+// packBlocks copies blocks into exact-size storage: one allocation each
+// for the blocks, the block list, the instructions (unless instrs is
+// false: each block then keeps its instruction slice, which must be
+// capped and owned by the function), the argument lists and the edge
+// lists. Every slice is capped at its length, so a pass that later grows
+// one block's instructions, edges or arguments reallocates that slice
+// alone and never writes into a neighbour's.
+//
+// fc:hotpath
+func packBlocks(blocks []*Block, instrs bool) []*Block {
+	var ni, na, ne int
+	for _, b := range blocks {
+		ni += len(b.Instrs)
+		ne += len(b.Succs) + len(b.Preds)
+		for i := range b.Instrs {
+			na += len(b.Instrs[i].Args)
 		}
-		nb.Instrs = make([]Instr, len(b.Instrs))
-		for j := range b.Instrs {
-			in := b.Instrs[j]
-			in.Args = append([]VarID(nil), in.Args...)
-			nb.Instrs[j] = in
-		}
-		g.Blocks[i] = nb
 	}
-	return g
+	if !instrs {
+		ni = 0
+	}
+	bs := make([]Block, len(blocks))
+	list := make([]*Block, len(blocks))
+	ins := make([]Instr, ni)
+	args := make([]VarID, na)
+	edges := make([]BlockID, ne)
+	for i, b := range blocks {
+		nb := &bs[i]
+		nb.ID, nb.Instrs = b.ID, b.Instrs
+		if instrs {
+			nb.Instrs, ins = carve(ins, b.Instrs)
+		}
+		for j := range nb.Instrs {
+			nb.Instrs[j].Args, args = carve(args, nb.Instrs[j].Args)
+		}
+		nb.Succs, edges = carve(edges, b.Succs)
+		nb.Preds, edges = carve(edges, b.Preds)
+		list[i] = nb
+	}
+	return list
+}
+
+// carve copies src to the front of slab and returns the copy, capped at
+// its length (nil when src is empty), and the rest of slab.
+func carve[T any](slab, src []T) (dst, rest []T) {
+	n := len(src)
+	if n == 0 {
+		return nil, slab
+	}
+	dst = slab[:n:n]
+	copy(dst, src)
+	return dst, slab[n:]
 }

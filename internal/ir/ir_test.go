@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -232,6 +233,79 @@ func TestCloneIsDeep(t *testing.T) {
 	if f.VarNames[0] == "mutated" {
 		t.Fatal("Clone shares name table")
 	}
+
+	// Appending to one cloned block's lists leaves every other block,
+	// and the original, as they were.
+	text := f.String()
+	appendsStayPut(t, "clone", f.Clone())
+	if f.String() != text {
+		t.Fatal("appending to a clone changed the original")
+	}
+}
+
+// appendsStayPut appends to each block's Instrs, Succs and Preds, and to
+// every Args, in turn, and fails if any other block changed.
+func appendsStayPut(t *testing.T, what string, f *Func) {
+	t.Helper()
+	snap := func() []string {
+		s := make([]string, len(f.Blocks))
+		for i, b := range f.Blocks {
+			s[i] = fmt.Sprint(b.Instrs, b.Succs, b.Preds)
+		}
+		return s
+	}
+	for i, b := range f.Blocks {
+		before := snap()
+		for j := range b.Instrs {
+			b.Instrs[j].Args = append(b.Instrs[j].Args, 99)
+		}
+		b.Instrs = append(b.Instrs, Instr{Op: OpConst, Def: 99, Const: 99})
+		b.Succs = append(b.Succs, 99)
+		b.Preds = append(b.Preds, 99)
+		after := snap()
+		for j := range f.Blocks {
+			if j != i && after[j] != before[j] {
+				t.Fatalf("%s: appending to b%d's lists changed b%d:\n%s\n%s", what, i, j, before[j], after[j])
+			}
+		}
+	}
+}
+
+// buildLoop builds, with one Builder, a loop whose head has two
+// predecessors and whose body has a branch: every kind of list the
+// Builder stages, in several blocks, with pad more instructions in the
+// body. With seal, the function is sealed.
+func buildLoop(seal bool, pad int) *Func {
+	f := &Func{Name: "loop"}
+	bld := NewBuilder(f)
+	i, n, c, one := bld.NewVar("i"), bld.NewVar("n"), bld.NewVar(""), bld.NewVar("")
+	head, body, odd, latch, exit := bld.NewBlock(), bld.NewBlock(), bld.NewBlock(), bld.NewBlock(), bld.NewBlock()
+	f.Params = []VarID{n}
+	bld.Param(n, 0)
+	bld.Const(i, 0)
+	bld.Const(one, 1)
+	bld.Jmp(head)
+	bld.SetBlock(head)
+	bld.Binop(OpCmpLT, c, i, n)
+	bld.Br(c, body, exit)
+	bld.SetBlock(body)
+	for range pad {
+		bld.Binop(OpAdd, c, i, n)
+	}
+	bld.Binop(OpRem, c, i, n)
+	bld.Br(c, odd, latch)
+	bld.SetBlock(odd)
+	bld.Binop(OpAdd, i, i, one)
+	bld.Jmp(latch)
+	bld.SetBlock(latch)
+	bld.Binop(OpAdd, i, i, one)
+	bld.Jmp(head)
+	bld.SetBlock(exit)
+	bld.Ret(i)
+	if seal {
+		bld.Seal()
+	}
+	return f
 }
 
 // TestBuilderArgsDoNotOverlap checks that the argument lists the
@@ -249,6 +323,19 @@ func TestBuilderArgsDoNotOverlap(t *testing.T) {
 	first.Args = append(first.Args, c)
 	if second.Args[0] != a || second.Args[1] != b {
 		t.Fatalf("appending to one instruction's Args rewrote the next: %v", second.Args)
+	}
+
+	// Every list the Builder staged or sealed is capped as well: a block
+	// it left, or a sealed one, never shares room with a neighbour, also
+	// when the function is too large for its staging to be kept.
+	for _, pad := range []int{0, 3000} {
+		for _, seal := range []bool{false, true} {
+			f := buildLoop(seal, pad)
+			if err := f.Verify(); err != nil {
+				t.Fatalf("seal=%v pad=%d: %v", seal, pad, err)
+			}
+			appendsStayPut(t, fmt.Sprintf("seal=%v pad=%d", seal, pad), f)
+		}
 	}
 }
 

@@ -6,12 +6,18 @@ package ir
 //
 // Variables and arrays are identified by name; a function whose name
 // table contains duplicates (possible with shadowed source variables)
-// does not round-trip and is rejected by Parse when detected.
+// does not round-trip and is rejected by Parse when detected. A name must
+// be one Func.String can print back: a kernel-language identifier,
+// optionally with '.' after its first byte, as SSA names such as x.3
+// have. Mnemonics are names like any other: a line is a definition or a
+// store exactly when it has an '=', so a variable called br or jmp reads
+// back as itself.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse reads the textual IR form produced by (*Func).String.
@@ -30,34 +36,72 @@ type irParser struct {
 	// φ args keyed textually by predecessor block; resolved at the end.
 	phiFix []phiFixup
 	line   int
+	err    error // the first bad name seen
 }
 
 type phiFixup struct {
 	block BlockID
 	idx   int
 	args  []string // "b3:x"
+	line  int
 }
 
 func (p *irParser) errf(format string, args ...any) error {
 	return fmt.Errorf("ir: line %d: %s", p.line, fmt.Sprintf(format, args...))
 }
 
+// v returns the variable called name, creating it on first sight; a name
+// that does not print back records the parse's error.
 func (p *irParser) v(name string) VarID {
 	if id, ok := p.vars[name]; ok {
 		return id
+	}
+	if !printable(name) && p.err == nil {
+		p.err = p.errf("bad variable name %q", name)
 	}
 	id := p.f.NewVar(name)
 	p.vars[name] = id
 	return id
 }
 
+// arr is v for arrays.
 func (p *irParser) arr(name string) ArrID {
 	if id, ok := p.arrs[name]; ok {
 		return id
 	}
+	if !printable(name) && p.err == nil {
+		p.err = p.errf("bad array name %q", name)
+	}
 	id := p.f.NewArr(name)
 	p.arrs[name] = id
 	return id
+}
+
+// nameStart and nameByte mark the bytes that may start and continue a
+// printable name: the kernel language's identifier bytes (each byte of a
+// UTF-8 sequence taken as the Latin-1 rune of the same value), plus '.'
+// after the start. A digit cannot start one, since x = 0 reads back as a
+// constant.
+var nameStart, nameByte = func() (start, cont [256]bool) {
+	for b := range start {
+		start[b] = unicode.IsLetter(rune(b)) || b == '_'
+		cont[b] = start[b] || ('0' <= b && b <= '9') || b == '.'
+	}
+	return start, cont
+}()
+
+// printable reports whether name prints as text Parse reads back as the
+// same name.
+func printable(name string) bool {
+	if name == "" || !nameStart[name[0]] {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if !nameByte[name[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // blockNum parses a block label such as "b3". The number must fit a
@@ -118,6 +162,9 @@ func (p *irParser) parse(src string) (*Func, error) {
 					}
 				}
 			}
+			if p.err != nil {
+				return nil, p.err
+			}
 			continue
 		}
 		if p.f == nil {
@@ -146,6 +193,9 @@ func (p *irParser) parse(src string) (*Func, error) {
 		}
 
 		in, succs, err := p.parseInstr(line, cur)
+		if err == nil {
+			err = p.err
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +242,10 @@ func (p *irParser) parse(src string) (*Func, error) {
 				if !ok || pb != pred {
 					continue
 				}
-				in.Args[pi] = p.v(spec[colon+1:])
+				p.line = fix.line
+				if in.Args[pi] = p.v(spec[colon+1:]); p.err != nil {
+					return nil, p.err
+				}
 				used[ai] = true
 				found = true
 				break
@@ -223,42 +276,12 @@ var opByName = func() map[string]Op {
 }()
 
 // parseInstr parses one instruction line. For terminators it also returns
-// the successor blocks in order.
+// the successor blocks in order. A line with an '=' defines a variable or
+// stores to an array; one without is a terminator.
 func (p *irParser) parseInstr(line string, cur *Block) (Instr, []BlockID, error) {
-	fields := strings.Fields(line)
-
-	// Terminators and stores have no "=" form.
-	switch fields[0] {
-	case "jmp":
-		if len(fields) != 2 {
-			return Instr{}, nil, p.errf("jmp wants one target")
-		}
-		t, ok := blockNum(fields[1])
-		if !ok {
-			return Instr{}, nil, p.errf("bad jmp target %q", fields[1])
-		}
-		return Instr{Op: OpJmp, Def: NoVar}, []BlockID{t}, nil
-	case "br":
-		if len(fields) != 4 {
-			return Instr{}, nil, p.errf("br wants cond and two targets")
-		}
-		t1, ok1 := blockNum(fields[2])
-		t2, ok2 := blockNum(fields[3])
-		if !ok1 || !ok2 {
-			return Instr{}, nil, p.errf("bad br targets")
-		}
-		return Instr{Op: OpBr, Def: NoVar, Args: []VarID{p.v(fields[1])}},
-			[]BlockID{t1, t2}, nil
-	case "ret":
-		if len(fields) != 2 {
-			return Instr{}, nil, p.errf("ret wants one value")
-		}
-		return Instr{Op: OpRet, Def: NoVar, Args: []VarID{p.v(fields[1])}}, nil, nil
-	}
-
 	eq := strings.Index(line, "=")
 	if eq < 0 {
-		return Instr{}, nil, p.errf("unrecognized instruction %q", line)
+		return p.parseTerminator(line)
 	}
 	lhs := strings.TrimSpace(line[:eq])
 	rhs := strings.TrimSpace(line[eq+1:])
@@ -301,6 +324,7 @@ func (p *irParser) parseInstr(line string, cur *Block) (Instr, []BlockID, error)
 			block: cur.ID,
 			idx:   len(cur.Instrs),
 			args:  specs,
+			line:  p.line,
 		})
 		return Instr{Op: OpPhi, Def: def}, nil, nil
 	}
@@ -333,4 +357,38 @@ func (p *irParser) parseInstr(line string, cur *Block) (Instr, []BlockID, error)
 		args = append(args, p.v(a))
 	}
 	return Instr{Op: op, Def: def, Args: args}, nil, nil
+}
+
+// parseTerminator parses a jmp, br or ret line, with its successor
+// blocks in order.
+func (p *irParser) parseTerminator(line string) (Instr, []BlockID, error) {
+	fields := strings.Fields(line)
+	switch fields[0] {
+	case "jmp":
+		if len(fields) != 2 {
+			return Instr{}, nil, p.errf("jmp wants one target")
+		}
+		t, ok := blockNum(fields[1])
+		if !ok {
+			return Instr{}, nil, p.errf("bad jmp target %q", fields[1])
+		}
+		return Instr{Op: OpJmp, Def: NoVar}, []BlockID{t}, nil
+	case "br":
+		if len(fields) != 4 {
+			return Instr{}, nil, p.errf("br wants cond and two targets")
+		}
+		t1, ok1 := blockNum(fields[2])
+		t2, ok2 := blockNum(fields[3])
+		if !ok1 || !ok2 {
+			return Instr{}, nil, p.errf("bad br targets")
+		}
+		return Instr{Op: OpBr, Def: NoVar, Args: []VarID{p.v(fields[1])}},
+			[]BlockID{t1, t2}, nil
+	case "ret":
+		if len(fields) != 2 {
+			return Instr{}, nil, p.errf("ret wants one value")
+		}
+		return Instr{Op: OpRet, Def: NoVar, Args: []VarID{p.v(fields[1])}}, nil, nil
+	}
+	return Instr{}, nil, p.errf("unrecognized instruction %q", line)
 }

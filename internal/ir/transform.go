@@ -1,47 +1,50 @@
 package ir
 
 // RemoveUnreachable deletes blocks not reachable from the entry, compacts
-// block IDs, and drops φ arguments that flowed along deleted edges.
-// It returns the number of blocks removed.
+// block IDs (and f.Blocks, in place), and drops φ arguments that flowed
+// along deleted edges. It returns the number of blocks removed.
 func (f *Func) RemoveUnreachable() int {
-	reach := make([]bool, len(f.Blocks))
-	stack := []BlockID{f.Entry}
-	reach[f.Entry] = true
+	// remap[id] is NoBlock for an unreached block and the block's new ID
+	// otherwise; the walk's stack shares its allocation.
+	n := len(f.Blocks)
+	buf := make([]BlockID, 2*n)
+	remap, stack := buf[:n], buf[n:n]
+	for i := range remap {
+		remap[i] = NoBlock
+	}
+	remap[f.Entry] = 0
+	stack = append(stack, f.Entry)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range f.Blocks[b].Succs {
-			if !reach[s] {
-				reach[s] = true
+			if remap[s] == NoBlock {
+				remap[s] = 0
 				stack = append(stack, s)
 			}
 		}
 	}
-
 	removed := 0
-	for id := range f.Blocks {
-		if !reach[id] {
+	var next BlockID
+	for id := range remap {
+		if remap[id] == NoBlock {
 			removed++
+		} else {
+			remap[id] = next
+			next++
 		}
 	}
 	if removed == 0 {
 		return 0
 	}
 
-	// Drop φ args and pred entries contributed by unreachable predecessors.
+	// Drop φ args and pred entries contributed by unreachable
+	// predecessors, renumber, and compact.
+	blocks := f.Blocks[:0]
 	for id, b := range f.Blocks {
-		if !reach[id] {
+		if remap[id] == NoBlock {
 			continue
 		}
-		keep := b.Preds[:0]
-		kept := make([]bool, len(b.Preds))
-		for i, p := range b.Preds {
-			if reach[p] {
-				kept[i] = true
-				keep = append(keep, p)
-			}
-		}
-		b.Preds = keep
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
 			if in.Op != OpPhi {
@@ -49,39 +52,26 @@ func (f *Func) RemoveUnreachable() int {
 			}
 			args := in.Args[:0]
 			for i, a := range in.Args {
-				if kept[i] {
+				if remap[b.Preds[i]] != NoBlock {
 					args = append(args, a)
 				}
 			}
 			in.Args = args
 		}
-	}
-
-	// Compact and renumber.
-	remap := make([]BlockID, len(f.Blocks))
-	var next BlockID
-	for id := range f.Blocks {
-		if reach[id] {
-			remap[id] = next
-			next++
-		} else {
-			remap[id] = NoBlock
+		preds := b.Preds[:0]
+		for _, p := range b.Preds {
+			if remap[p] != NoBlock {
+				preds = append(preds, remap[p])
+			}
 		}
-	}
-	blocks := make([]*Block, 0, int(next))
-	for id, b := range f.Blocks {
-		if !reach[id] {
-			continue
-		}
-		b.ID = remap[id]
+		b.Preds = preds
 		for i := range b.Succs {
 			b.Succs[i] = remap[b.Succs[i]]
 		}
-		for i := range b.Preds {
-			b.Preds[i] = remap[b.Preds[i]]
-		}
+		b.ID = remap[id]
 		blocks = append(blocks, b)
 	}
+	clear(f.Blocks[len(blocks):])
 	f.Blocks = blocks
 	f.Entry = remap[f.Entry]
 	return removed

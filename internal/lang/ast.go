@@ -37,6 +37,8 @@ type FuncDecl struct {
 	Name   string
 	Params []Param
 	Body   *BlockStmt
+
+	nodes int // AST nodes in the body, the lowering's size estimate
 }
 
 // Param is one formal parameter.

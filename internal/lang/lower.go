@@ -32,23 +32,49 @@ func Compile(src string) ([]*ir.Func, error) {
 // CompileWith parses src and lowers every function to IR with the given
 // options.
 func CompileWith(src string, opt CompileOptions) ([]*ir.Func, error) {
-	file, err := Parse(src)
+	// A fresh Scratch is not reused, so its function list is the caller's.
+	return compile(src, opt, &Scratch{})
+}
+
+// compile parses src into sc's AST slabs and lowers every function with
+// sc's lowerer. The list it returns is sc's.
+func compile(src string, opt CompileOptions, sc *Scratch) ([]*ir.Func, error) {
+	// Whatever way the compile ends, the AST is reset, so the Scratch
+	// holds neither a large one's memory nor the source.
+	defer sc.nodes.reset()
+	sc.nodes.reset()
+	file, err := parse(&sc.parser, src, &sc.nodes)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var out []*ir.Func
-	for _, fd := range file.Funcs {
+	var seen map[string]bool
+	if len(file.Funcs) > 1 {
+		seen = make(map[string]bool, len(file.Funcs))
+	}
+	out := sc.funcs[:0]
+	for i, fd := range file.Funcs {
 		if seen[fd.Name] {
 			return nil, errf(fd.Pos, "function %q redeclared", fd.Name)
 		}
-		seen[fd.Name] = true
-		f, err := lowerFunc(fd, opt)
+		if seen != nil {
+			seen[fd.Name] = true
+		}
+		name := fd.Name
+		if err := sc.lo.lower(fd, opt); err != nil {
+			return nil, err
+		}
+		if i == len(file.Funcs)-1 {
+			// The AST is dead: a large one can go before the function
+			// is sealed into storage of its own.
+			sc.nodes.reset()
+		}
+		f, err := sc.lo.seal(name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, f)
 	}
+	sc.funcs = out
 	return out, nil
 }
 
@@ -60,14 +86,32 @@ func CompileOne(src string) (*ir.Func, error) {
 
 // CompileOneWith is CompileOne with explicit options.
 func CompileOneWith(src string, opt CompileOptions) (*ir.Func, error) {
-	fs, err := CompileWith(src, opt)
+	return compileOne(src, opt, &Scratch{})
+}
+
+// CompileOneScratch is CompileOne on sc's memory: the AST, the symbol
+// table and the lowering staging are sc's and are reused by the next
+// compile on sc, while the function returned has storage of its own. A
+// nil sc compiles cold.
+func CompileOneScratch(src string, sc *Scratch) (*ir.Func, error) {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	return compileOne(src, CompileOptions{}, sc)
+}
+
+func compileOne(src string, opt CompileOptions, sc *Scratch) (*ir.Func, error) {
+	fs, err := compile(src, opt, sc)
 	if err != nil {
 		return nil, err
 	}
 	if len(fs) != 1 {
+		clear(fs)
 		return nil, fmt.Errorf("lang: expected one function, found %d", len(fs))
 	}
-	return fs[0], nil
+	f := fs[0]
+	clear(fs)
+	return f, nil
 }
 
 // symbol is a resolved name: exactly one of Var/Arr is meaningful.
@@ -90,13 +134,14 @@ type loopTargets struct {
 	brk  *ir.Block // break jumps here (loop exit)
 }
 
-// lowerer lowers one function. Its symbol table maps each name to its
-// innermost binding; the bindings form a stack, and marks holds the
-// stack height at each open scope, so closing a scope pops its bindings
-// and restores the ones they shadowed.
+// lowerer lowers one function at a time, into its builder's staging.
+// Its symbol table maps each name to its innermost binding; the bindings
+// form a stack, and marks holds the stack height at each open scope, so
+// closing a scope pops its bindings and restores the ones they shadowed.
+// All of it is reused from one function to the next.
 type lowerer struct {
 	f     *ir.Func
-	bld   *ir.Builder
+	bld   ir.Builder
 	syms  map[string]int32
 	binds []binding
 	marks []int
@@ -104,22 +149,43 @@ type lowerer struct {
 	opt   CompileOptions
 }
 
-func lowerFunc(fd *FuncDecl, opt CompileOptions) (*ir.Func, error) {
-	lo := &lowerer{f: ir.NewFunc(strings.Clone(fd.Name)), syms: map[string]int32{}, opt: opt}
-	lo.bld = ir.NewBuilder(lo.f)
+// lower lowers fd into the builder's staging; seal finishes the function.
+func (lo *lowerer) lower(fd *FuncDecl, opt CompileOptions) error {
+	nscalar := 0
+	for _, p := range fd.Params {
+		if p.Type != TypeArray {
+			nscalar++
+		}
+	}
+	lo.f = &ir.Func{
+		Name:      strings.Clone(fd.Name),
+		Params:    make([]ir.VarID, 0, nscalar),
+		ArrParams: make([]ir.ArrID, 0, len(fd.Params)-nscalar),
+		ArrNames:  make([]string, 0, len(fd.Params)-nscalar),
+		ArrLens:   make([]int, 0, len(fd.Params)-nscalar),
+	}
+	lo.bld.Reset(lo.f)
+	// The suite kernels and generated programs lower to 0.6-0.95
+	// instructions per AST node; a parameter lowers to one.
+	lo.bld.Grow(fd.nodes*7/8 + len(fd.Params) + 2)
+	if lo.syms == nil {
+		lo.syms = map[string]int32{}
+	}
+	clear(lo.syms)
+	lo.binds, lo.marks, lo.loops, lo.opt = lo.binds[:0], lo.marks[:0], lo.loops[:0], opt
 	lo.pushScope()
 
 	scalarIdx := 0
 	for _, p := range fd.Params {
 		if lo.declaredInScope(p.Name) {
-			return nil, errf(p.Pos, "parameter %q redeclared", p.Name)
+			return errf(p.Pos, "parameter %q redeclared", p.Name)
 		}
 		if p.Type == TypeArray {
 			a := lo.f.NewArr(strings.Clone(p.Name))
 			lo.f.ArrParams = append(lo.f.ArrParams, a)
 			lo.define(p.Name, symbol{isArray: true, a: a})
 		} else {
-			v := lo.f.NewVar(strings.Clone(p.Name))
+			v := lo.bld.NewVar(p.Name)
 			lo.f.Params = append(lo.f.Params, v)
 			lo.bld.Param(v, scalarIdx)
 			scalarIdx++
@@ -128,21 +194,30 @@ func lowerFunc(fd *FuncDecl, opt CompileOptions) (*ir.Func, error) {
 	}
 
 	if err := lo.block(fd.Body); err != nil {
-		return nil, err
+		return err
 	}
 	// Implicit "return 0" if control can fall off the end.
 	if lo.bld.Cur.Terminator() == nil {
-		z := lo.f.NewVar("")
+		z := lo.bld.NewVar("")
 		lo.bld.Const(z, 0)
 		lo.bld.Ret(z)
 	}
 	lo.popScope()
+	return nil
+}
 
-	lo.f.RemoveUnreachable()
-	if err := lo.f.Verify(); err != nil {
-		return nil, fmt.Errorf("lang: internal error lowering %s: %w", fd.Name, err)
+// seal removes the unreachable blocks of the function lower built, named
+// name, seals it and checks it.
+func (lo *lowerer) seal(name string) (*ir.Func, error) {
+	f := lo.f
+	lo.f = nil
+	f.RemoveUnreachable()
+	lo.bld.Seal()
+	clear(lo.loops[:cap(lo.loops)]) // they point into the builder's staging
+	if err := f.Verify(); err != nil {
+		return nil, fmt.Errorf("lang: internal error lowering %s: %w", name, err)
 	}
-	return lo.f, nil
+	return f, nil
 }
 
 func (lo *lowerer) pushScope() { lo.marks = append(lo.marks, len(lo.binds)) }
@@ -209,7 +284,7 @@ func (lo *lowerer) stmt(st Stmt) error {
 		if lo.declaredInScope(s.Name) {
 			return errf(s.Pos, "%q redeclared in this scope", s.Name)
 		}
-		v := lo.f.NewVar(strings.Clone(s.Name))
+		v := lo.bld.NewVar(s.Name)
 		if s.Init != nil {
 			if err := lo.exprInto(v, s.Init); err != nil {
 				return err
@@ -486,7 +561,7 @@ func (lo *lowerer) forStmt(s *ForStmt) error {
 func (lo *lowerer) expr(e Expr) (ir.VarID, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		t := lo.f.NewVar("")
+		t := lo.bld.NewVar("")
 		lo.bld.Const(t, x.Val)
 		return t, nil
 	case *Ident:
@@ -510,7 +585,7 @@ func (lo *lowerer) expr(e Expr) (ir.VarID, error) {
 		if err != nil {
 			return 0, err
 		}
-		t := lo.f.NewVar("")
+		t := lo.bld.NewVar("")
 		lo.bld.ALoad(t, sym.a, idx)
 		return t, nil
 	case *LenExpr:
@@ -521,7 +596,7 @@ func (lo *lowerer) expr(e Expr) (ir.VarID, error) {
 		if !sym.isArray {
 			return 0, errf(x.Pos_, "len of non-array %q", x.Name)
 		}
-		t := lo.f.NewVar("")
+		t := lo.bld.NewVar("")
 		lo.bld.ALen(t, sym.a)
 		return t, nil
 	case *UnaryExpr:
@@ -529,7 +604,7 @@ func (lo *lowerer) expr(e Expr) (ir.VarID, error) {
 		if err != nil {
 			return 0, err
 		}
-		t := lo.f.NewVar("")
+		t := lo.bld.NewVar("")
 		if x.Op == tokMinus {
 			lo.bld.Unop(ir.OpNeg, t, v)
 		} else {
@@ -562,7 +637,7 @@ func (lo *lowerer) binary(x *BinaryExpr) (ir.VarID, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := lo.f.NewVar("")
+	t := lo.bld.NewVar("")
 	lo.bld.Binop(binOps[x.Op], t, a, b)
 	return t, nil
 }
@@ -571,7 +646,7 @@ func (lo *lowerer) binary(x *BinaryExpr) (ir.VarID, error) {
 // to 0 or 1. The merge creates a φ-node after SSA construction — exactly
 // the shape the coalescer must handle.
 func (lo *lowerer) shortCircuit(x *BinaryExpr) (ir.VarID, error) {
-	t := lo.f.NewVar("")
+	t := lo.bld.NewVar("")
 	a, err := lo.expr(x.X)
 	if err != nil {
 		return 0, err
@@ -590,7 +665,7 @@ func (lo *lowerer) shortCircuit(x *BinaryExpr) (ir.VarID, error) {
 	if err != nil {
 		return 0, err
 	}
-	z := lo.f.NewVar("")
+	z := lo.bld.NewVar("")
 	lo.bld.Const(z, 0)
 	lo.bld.Binop(ir.OpCmpNE, t, b, z)
 	lo.bld.Jmp(join)

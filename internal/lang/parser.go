@@ -26,12 +26,20 @@ type parser struct {
 	// depth is the nesting level of the construct being parsed; deepest
 	// is the deepest level reached by the expression parsed last.
 	depth, deepest int
+
+	n *nodes // where the AST is allocated
 }
 
 // Parse tokenizes and parses a source file. A lexical error anywhere in
-// the source is reported in preference to a parse error before it.
+// the source is reported in preference to a parse error before it. The
+// AST is allocated on slabs of its own.
 func Parse(src string) (*File, error) {
-	p := &parser{lx: lexer{src: src, line: 1, col: 1}}
+	return parse(&parser{}, src, &nodes{})
+}
+
+// parse runs p over src, allocating the AST on n.
+func parse(p *parser, src string, n *nodes) (*File, error) {
+	*p = parser{lx: lexer{src: src, line: 1, col: 1}, n: n}
 	p.pull(&p.tok)
 	file, err := p.parseFile()
 	if err != nil && p.lexErr == nil {
@@ -44,7 +52,8 @@ func Parse(src string) (*File, error) {
 }
 
 func (p *parser) parseFile() (*File, error) {
-	file := &File{}
+	file := &p.n.file
+	*file = File{Funcs: file.Funcs[:0]}
 	p.skipSemis()
 	for p.tok.kind != tokEOF {
 		fn, err := p.parseFunc()
@@ -137,9 +146,12 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	fn := &FuncDecl{Pos: kw.pos, Name: name.text}
+	fn := newNode(p.n, &p.n.funcs)
+	*fn = FuncDecl{Pos: kw.pos, Name: name.text}
+	first := p.n.count
+	mark := len(p.n.params)
 	for p.tok.kind != tokRParen {
-		if len(fn.Params) > 0 {
+		if len(p.n.params) > mark {
 			if _, err := p.expect(tokComma); err != nil {
 				return nil, err
 			}
@@ -158,8 +170,9 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		if _, err := p.expect(tokKwInt); err != nil {
 			return nil, err
 		}
-		fn.Params = append(fn.Params, Param{Pos: pn.pos, Name: pn.text, Type: typ})
+		p.n.params = append(p.n.params, Param{Pos: pn.pos, Name: pn.text, Type: typ})
 	}
+	fn.Params = p.n.paramList(mark)
 	p.next()           // ')'
 	p.accept(tokKwInt) // optional "int" result type
 	body, err := p.parseBlock()
@@ -167,6 +180,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		return nil, err
 	}
 	fn.Body = body
+	fn.nodes = p.n.count - first
 	return fn, nil
 }
 
@@ -178,7 +192,9 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	if err := p.nest(lb.pos); err != nil {
 		return nil, err
 	}
-	blk := &BlockStmt{Pos: lb.pos}
+	blk := newNode(p.n, &p.n.blocks)
+	blk.Pos = lb.pos
+	mark := len(p.n.stmts)
 	p.skipSemis()
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokEOF {
@@ -188,9 +204,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		blk.Stmts = append(blk.Stmts, st)
+		p.n.stmts = append(p.n.stmts, st)
 		p.skipSemis()
 	}
+	blk.Stmts = p.n.stmtList(mark)
 	p.next() // '}'
 	p.depth--
 	return blk, nil
@@ -212,11 +229,17 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ReturnStmt{Pos: kw.pos, Value: val}, nil
+		st := newNode(p.n, &p.n.returns)
+		*st = ReturnStmt{Pos: kw.pos, Value: val}
+		return st, nil
 	case tokBreak:
-		return &BreakStmt{Pos: p.next().pos}, nil
+		st := newNode(p.n, &p.n.breaks)
+		st.Pos = p.next().pos
+		return st, nil
 	case tokContinue:
-		return &ContinueStmt{Pos: p.next().pos}, nil
+		st := newNode(p.n, &p.n.continues)
+		st.Pos = p.next().pos
+		return st, nil
 	case tokLBrace:
 		return p.parseBlock()
 	case tokIdent:
@@ -232,7 +255,8 @@ func (p *parser) parseVarDecl() (Stmt, error) {
 		return nil, err
 	}
 	p.accept(tokKwInt) // optional type
-	d := &VarDecl{Pos: kw.pos, Name: name.text}
+	d := newNode(p.n, &p.n.decls)
+	*d = VarDecl{Pos: kw.pos, Name: name.text}
 	if p.accept(tokAssign) {
 		init, err := p.parseExpr()
 		if err != nil {
@@ -245,7 +269,8 @@ func (p *parser) parseVarDecl() (Stmt, error) {
 
 func (p *parser) parseAssign() (Stmt, error) {
 	name := p.next()
-	st := &AssignStmt{Pos: name.pos, Name: name.text}
+	st := newNode(p.n, &p.n.assigns)
+	*st = AssignStmt{Pos: name.pos, Name: name.text}
 	if p.accept(tokLBrack) {
 		idx, err := p.parseExpr()
 		if err != nil {
@@ -277,7 +302,8 @@ func (p *parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Pos: kw.pos, Cond: cond, Then: then}
+	st := newNode(p.n, &p.n.ifs)
+	*st = IfStmt{Pos: kw.pos, Cond: cond, Then: then}
 	if p.accept(tokElse) {
 		switch p.tok.kind {
 		case tokIf:
@@ -313,7 +339,9 @@ func (p *parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Pos: kw.pos, Cond: cond, Body: body}, nil
+	st := newNode(p.n, &p.n.whiles)
+	*st = WhileStmt{Pos: kw.pos, Cond: cond, Body: body}
+	return st, nil
 }
 
 // parseFor handles three forms:
@@ -323,7 +351,8 @@ func (p *parser) parseWhile() (Stmt, error) {
 //	for init; cond; post { ... }     three-clause
 func (p *parser) parseFor() (Stmt, error) {
 	kw := p.next()
-	st := &ForStmt{Pos: kw.pos}
+	st := newNode(p.n, &p.n.fors)
+	st.Pos = kw.pos
 	if p.tok.kind == tokLBrace {
 		body, err := p.parseBlock()
 		if err != nil {
@@ -434,7 +463,9 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		if err := checkNesting(op.pos, p.deepest); err != nil {
 			return nil, err
 		}
-		x = &BinaryExpr{Pos_: op.pos, Op: op.kind, X: x, Y: y}
+		bx := newNode(p.n, &p.n.binaries)
+		*bx = BinaryExpr{Pos_: op.pos, Op: op.kind, X: x, Y: y}
+		x = bx
 	}
 }
 
@@ -450,7 +481,9 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		p.depth--
-		return &UnaryExpr{Pos_: op.pos, Op: op.kind, X: x}, nil
+		ux := newNode(p.n, &p.n.unaries)
+		*ux = UnaryExpr{Pos_: op.pos, Op: op.kind, X: x}
+		return ux, nil
 	}
 	return p.parsePrimary()
 }
@@ -462,7 +495,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch p.tok.kind {
 	case tokInt:
 		t := p.next()
-		return &IntLit{Pos_: t.pos, Val: t.val}, nil
+		lit := newNode(p.n, &p.n.ints)
+		*lit = IntLit{Pos_: t.pos, Val: t.val}
+		return lit, nil
 	case tokLen:
 		t := p.next()
 		if _, err := p.expect(tokLParen); err != nil {
@@ -475,17 +510,23 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &LenExpr{Pos_: t.pos, Name: name.text}, nil
+		lx := newNode(p.n, &p.n.lens)
+		*lx = LenExpr{Pos_: t.pos, Name: name.text}
+		return lx, nil
 	case tokIdent:
 		t := p.next()
 		if p.tok.kind != tokLBrack {
-			return &Ident{Pos_: t.pos, Name: t.text}, nil
+			id := newNode(p.n, &p.n.idents)
+			*id = Ident{Pos_: t.pos, Name: t.text}
+			return id, nil
 		}
 		idx, err := p.parseBracketed(tokRBrack)
 		if err != nil {
 			return nil, err
 		}
-		return &IndexExpr{Pos_: t.pos, Name: t.text, Index: idx}, nil
+		ix := newNode(p.n, &p.n.indexes)
+		*ix = IndexExpr{Pos_: t.pos, Name: t.text, Index: idx}
+		return ix, nil
 	case tokLParen:
 		return p.parseBracketed(tokRParen)
 	}

@@ -10,7 +10,7 @@ package ssa
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"fastcoalesce/internal/dom"
 	"fastcoalesce/internal/ir"
@@ -93,15 +93,25 @@ type Scratch struct {
 	globals   []bool
 	localDef  []ir.BlockID
 
-	hasPhi  []int32
-	inWork  []int32
-	phiOrig [][]ir.VarID
-	work    []ir.BlockID
+	hasPhi   []int32
+	inWork   []int32
+	work     []ir.BlockID
+	placed   []phiSite
+	phiCount []int32
+	phiStart []int32
+	phiOrig  []ir.VarID
 
 	stacks  [][]ir.VarID
 	counter []int
 	pushed  []ir.VarID
 	frames  []renameFrame
+	names   ir.NameBuf
+}
+
+// phiSite is one φ placement: variable v needs a φ at block b.
+type phiSite struct {
+	b ir.BlockID
+	v ir.VarID
 }
 
 // Stats reports what construction did.
@@ -196,7 +206,8 @@ func Build(f *ir.Func, opt Options) *Stats {
 		}
 	}
 
-	// φ insertion with the standard worklist over dominance frontiers.
+	// φ placement with the standard worklist over dominance frontiers;
+	// insertPhis then materializes the placements.
 	hasPhi := reuse.Slice(sc.hasPhi, nb) // epoch marks, one pass per variable
 	sc.hasPhi = hasPhi
 	inWork := reuse.Slice(sc.inWork, nb)
@@ -205,8 +216,7 @@ func Build(f *ir.Func, opt Options) *Stats {
 		hasPhi[i] = -1
 		inWork[i] = -1
 	}
-	phiOrig := reuse.Truncated(sc.phiOrig, nb) // original variable of each φ, per block
-	sc.phiOrig = phiOrig
+	placed := sc.placed[:0]
 	work := sc.work[:0]
 	for v := 0; v < nv; v++ {
 		if len(defBlocks[v]) == 0 {
@@ -231,14 +241,7 @@ func Build(f *ir.Func, opt Options) *Stats {
 					continue
 				}
 				hasPhi[y] = int32(v)
-				yb := f.Blocks[y]
-				args := make([]ir.VarID, len(yb.Preds))
-				for i := range args {
-					args[i] = ir.VarID(v)
-				}
-				ir.Phi(yb, ir.VarID(v), args)
-				phiOrig[y] = append([]ir.VarID{ir.VarID(v)}, phiOrig[y]...)
-				st.PhisInserted++
+				placed = append(placed, phiSite{b: y, v: ir.VarID(v)})
 				if inWork[y] != int32(v) {
 					inWork[y] = int32(v)
 					work = append(work, y)
@@ -248,23 +251,41 @@ func Build(f *ir.Func, opt Options) *Stats {
 	}
 
 	sc.work = work[:0]
+	sc.placed = placed
+	st.PhisInserted = len(placed)
+	sc.insertPhis(f)
 
-	// Renaming via a dominator-tree walk with per-variable stacks.
+	// Renaming via a dominator-tree walk with per-variable stacks. Every
+	// definition a fold does not delete, φs included, gets a fresh name,
+	// so the name table grows once, by that many.
+	fresh := 0
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if op := b.Instrs[i].Op; op.HasDef() && (op != ir.OpCopy || !opt.FoldCopies) {
+				fresh++
+			}
+		}
+	}
+	f.VarNames = slices.Grow(f.VarNames, fresh)
 	sc.stacks = reuse.Truncated(sc.stacks, nv)
 	sc.counter = reuse.Zeroed(sc.counter, nv)
+	sc.names.Reset()
 	r := &renamer{
-		f:       f,
-		dt:      dt,
-		opt:     opt,
-		st:      st,
-		stacks:  sc.stacks,
-		counter: sc.counter,
-		pushed:  sc.pushed[:0],
-		phiOrig: phiOrig,
-		undefs:  make(map[ir.VarID]ir.VarID),
+		f:        f,
+		dt:       dt,
+		opt:      opt,
+		st:       st,
+		stacks:   sc.stacks,
+		counter:  sc.counter,
+		pushed:   sc.pushed[:0],
+		phiStart: sc.phiStart,
+		phiCount: sc.phiCount,
+		phiOrig:  sc.phiOrig,
+		names:    &sc.names,
 	}
 	sc.frames = r.rename(sc.frames[:0])
 	sc.pushed = r.pushed[:0]
+	sc.names.Flush(f)
 	compactDeleted(f)
 	st.SSAVars = f.NumVars()
 	f.IsSSA = true
@@ -272,20 +293,81 @@ func Build(f *ir.Func, opt Options) *Stats {
 	return st
 }
 
-// enforceStrict initializes, at the top of the entry block, every variable
-// in the entry's live-in set and returns how many it added.
-func enforceStrict(f *ir.Func, live *liveness.Info) int {
-	entry := f.Blocks[f.Entry]
-	var inits []ir.Instr
-	it := live.LiveInNames(f.Entry)
-	for v, ok := it.Next(); ok; v, ok = it.Next() {
-		inits = append(inits, ir.Instr{Op: ir.OpConst, Def: v, Const: 0})
+// insertPhis materializes the placements in sc.placed: each block that
+// gets φs gets one new instruction slice, exactly long enough, with its
+// φs in front, and every φ's argument list is carved from one array for
+// the whole function. A block's φs come in descending variable order,
+// as prepending them one at a time in placement order would leave them.
+// sc.phiOrig records each φ's variable in φ order, block by block from
+// sc.phiStart, for renaming to read after the φ's own name has changed.
+//
+// fc:hotpath
+func (sc *Scratch) insertPhis(f *ir.Func) {
+	nb := len(f.Blocks)
+	count := reuse.Zeroed(sc.phiCount, nb)
+	start := reuse.Slice(sc.phiStart, nb)
+	sc.phiCount, sc.phiStart = count, start
+	for _, p := range sc.placed {
+		count[p.b]++
 	}
-	if len(inits) == 0 {
+	nargs, total := 0, int32(0)
+	for b, n := range count {
+		start[b] = total
+		total += n
+		nargs += int(n) * len(f.Blocks[b].Preds)
+	}
+	sc.phiOrig = reuse.Slice(sc.phiOrig, int(total))
+	args := make([]ir.VarID, nargs)
+	for b, n := range count {
+		if n == 0 {
+			continue
+		}
+		blk := f.Blocks[b]
+		ins := make([]ir.Instr, int(n)+len(blk.Instrs))
+		copy(ins[n:], blk.Instrs)
+		blk.Instrs = ins
+	}
+	// Fill each block's φ prefix front to back from the last placement
+	// on, counting the block's φs again as they go in.
+	clear(count)
+	for k := len(sc.placed) - 1; k >= 0; k-- {
+		p := sc.placed[k]
+		blk := f.Blocks[p.b]
+		i := count[p.b]
+		count[p.b]++
+		np := len(blk.Preds)
+		a := args[:np:np]
+		args = args[np:]
+		for j := range a {
+			a[j] = p.v
+		}
+		blk.Instrs[i] = ir.Instr{Op: ir.OpPhi, Def: p.v, Args: a}
+		sc.phiOrig[start[p.b]+i] = p.v
+	}
+}
+
+// enforceStrict initializes, at the top of the entry block, every variable
+// in the entry's live-in set and returns how many it added. The entry
+// gets one new instruction slice.
+func enforceStrict(f *ir.Func, live *liveness.Info) int {
+	n := 0
+	it := live.LiveInNames(f.Entry)
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+		n++
+	}
+	if n == 0 {
 		return 0
 	}
-	entry.Instrs = append(inits, entry.Instrs...)
-	return len(inits)
+	entry := f.Blocks[f.Entry]
+	ins := make([]ir.Instr, n+len(entry.Instrs))
+	copy(ins[n:], entry.Instrs)
+	it = live.LiveInNames(f.Entry)
+	for i, v := 0, ir.VarID(0); i < n; i++ {
+		v, _ = it.Next()
+		ins[i] = ir.Instr{Op: ir.OpConst, Def: v, Const: 0}
+	}
+	entry.Instrs = ins
+	return n
 }
 
 type renamer struct {
@@ -296,8 +378,13 @@ type renamer struct {
 	stacks  [][]ir.VarID // per original var: stack of current SSA names
 	counter []int        // per original var: next suffix
 	pushed  []ir.VarID   // original vars pushed by the blocks on the walk, for popping
-	phiOrig [][]ir.VarID // per block: original var of each φ (in φ order)
+	names   *ir.NameBuf  // the fresh names, installed when the walk ends
 	undefs  map[ir.VarID]ir.VarID
+
+	// phiOrig[phiStart[b]:][:phiCount[b]] is the original variable of
+	// each of block b's φs, in φ order.
+	phiStart, phiCount []int32
+	phiOrig            []ir.VarID
 }
 
 // renameFrame is one block on the dominator-tree walk: the next child to
@@ -316,7 +403,10 @@ func (r *renamer) undef(v ir.VarID) ir.VarID {
 	if u, ok := r.undefs[v]; ok {
 		return u
 	}
-	u := r.f.NewVar(fmt.Sprintf("%s.undef", r.f.VarNames[v]))
+	if r.undefs == nil {
+		r.undefs = make(map[ir.VarID]ir.VarID) // fc:lint-ok cold: only minimal and semi-pruned SSA read undefined names
+	}
+	u := r.f.NewVar(fmt.Sprintf("%s.undef", r.f.VarNames[v])) // fc:lint-ok cold: once per variable read undefined
 	entry := r.f.Blocks[r.f.Entry]
 	entry.Instrs = append([]ir.Instr{{Op: ir.OpConst, Def: u, Const: 0}}, entry.Instrs...)
 	r.undefs[v] = u
@@ -326,16 +416,16 @@ func (r *renamer) undef(v ir.VarID) ir.VarID {
 func (r *renamer) top(v ir.VarID) ir.VarID {
 	s := r.stacks[v]
 	if len(s) == 0 {
-		panic(fmt.Sprintf("ssa: use of %s before definition (program not strict?)", r.f.VarName(v)))
+		panic(fmt.Sprintf("ssa: use of %s before definition (program not strict?)", r.f.VarName(v))) // fc:lint-ok cold: a non-strict program ends the build
 	}
 	return s[len(s)-1]
 }
 
+// fresh creates v's next SSA name, v.N, in the name buffer.
 func (r *renamer) fresh(v ir.VarID) ir.VarID {
-	name := r.f.VarNames[v] + "." + strconv.Itoa(r.counter[v])
+	n := r.counter[v]
 	r.counter[v]++
-	nv := r.f.NewVar(name)
-	return nv
+	return r.names.NewVarNumbered(r.f, r.f.VarNames[v], n)
 }
 
 // rename walks the dominator tree from the entry in preorder, renaming
@@ -343,6 +433,8 @@ func (r *renamer) fresh(v ir.VarID) ir.VarID {
 // walk keeps its own stack of frames (reusing frames' memory, which it
 // returns), so a dominator tree as deep as the function is long needs no
 // goroutine stack.
+//
+// fc:hotpath
 func (r *renamer) rename(frames []renameFrame) []renameFrame {
 	frames = append(frames, renameFrame{b: r.f.Entry, pushed: len(r.pushed)})
 	r.renameBlock(r.f.Entry)
@@ -367,6 +459,8 @@ func (r *renamer) rename(frames []renameFrame) []renameFrame {
 // renameBlock renames the definitions and uses of block b and fills the
 // φ arguments it feeds in its successors, pushing each new name on its
 // variable's stack and recording the variable in r.pushed.
+//
+// fc:hotpath
 func (r *renamer) renameBlock(b ir.BlockID) {
 	f := r.f
 	blk := f.Blocks[b]
@@ -413,7 +507,8 @@ func (r *renamer) renameBlock(b ir.BlockID) {
 			if p != b {
 				continue
 			}
-			for phiIdx, orig := range r.phiOrig[s] {
+			start := r.phiStart[s]
+			for phiIdx, orig := range r.phiOrig[start : start+r.phiCount[s]] {
 				if len(r.stacks[orig]) == 0 {
 					sb.Instrs[phiIdx].Args[pi] = r.undef(orig)
 				} else {
