@@ -438,7 +438,7 @@ func runCorpus(c corpusConfig) error {
 	fmt.Printf("Streamed-corpus sweep: %d generated functions per pipeline (families: %s)\n", c.n, famDesc)
 	fmt.Printf("(bounded-memory engine: jobs synthesized on demand, chunked claims with\n")
 	fmt.Printf(" work stealing, results folded into a streaming reducer; host has %d CPU(s))\n\n", runtime.NumCPU())
-	entries, err := bench.RunCorpusSweep(bench.CorpusOptions{
+	runs, err := bench.RunCorpusSweep(bench.CorpusOptions{
 		N: c.n, Families: fams, Seed: c.seed,
 		Workers: c.workers, RegallocK: c.k,
 		CheckEvery: c.checkEvery, SpotCheck: c.spotCheck,
@@ -449,10 +449,10 @@ func runCorpus(c corpusConfig) error {
 	}
 	if c.memcapMiB > 0 {
 		limit := int64(c.memcapMiB) << 20
-		for _, e := range entries {
-			if e.Family == "*" && e.PeakHeapB > limit {
-				return fmt.Errorf("%s: peak heap %d bytes exceeds -memcap %d MiB",
-					e.Pipeline, e.PeakHeapB, c.memcapMiB)
+		for _, r := range runs {
+			if r.Report.PeakHeap > limit {
+				return fmt.Errorf("%v: peak heap %d bytes exceeds -memcap %d MiB",
+					r.Algo, r.Report.PeakHeap, c.memcapMiB)
 			}
 		}
 		fmt.Printf("memcap: every pipeline stayed under %d MiB\n", c.memcapMiB)

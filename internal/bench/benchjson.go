@@ -32,6 +32,43 @@ type ScalingEntry struct {
 	StarNs     float64 `json:"briggs_star_ns"`
 }
 
+// CorpusEntry is one row of the streamed sweep as the committed
+// BENCH_10.json records it: the "*" family row carries the run-wide
+// engine numbers, family rows the per-family aggregates.
+type CorpusEntry struct {
+	Pipeline  string  `json:"pipeline"`
+	Family    string  `json:"family"` // "*" for the whole run
+	Jobs      int64   `json:"jobs"`
+	Errors    int64   `json:"errors,omitempty"`
+	Phis      int64   `json:"phis"`
+	Inserted  int64   `json:"copies_inserted"`
+	Coalesced int64   `json:"copies_coalesced"`
+	Static    int64   `json:"static_copies"`
+	K         int     `json:"k,omitempty"`
+	Spills    int64   `json:"spills,omitempty"`
+	Checked   int64   `json:"checked,omitempty"`
+	Findings  int64   `json:"findings,omitempty"`
+	WallNs    float64 `json:"wall_ns,omitempty"`         // "*" rows only
+	FuncsSec  float64 `json:"funcs_per_sec,omitempty"`   // "*" rows only
+	PeakHeapB int64   `json:"peak_heap_bytes,omitempty"` // "*" rows only
+	Pulls     int64   `json:"pulls,omitempty"`           // "*" rows only
+	Steals    int64   `json:"steals,omitempty"`          // "*" rows only
+}
+
+// SchedEntry is one measurement of the retired scheduler microbenchmark
+// (the same prebuilt skew-cost jobs, claimed either one at a time off
+// the shared counter or in chunks with stealing); the committed
+// BENCH_10.json carries two.
+type SchedEntry struct {
+	Mode    string  `json:"mode"` // single-counter | chunked-stealing
+	Workers int     `json:"workers"`
+	Chunk   int     `json:"chunk"`
+	Jobs    int64   `json:"jobs"`
+	WallNs  float64 `json:"wall_ns"` // best of 3
+	Pulls   int64   `json:"pulls"`
+	Steals  int64   `json:"steals"`
+}
+
 // BenchReport is the full baseline document.
 type BenchReport struct {
 	Schema    string          `json:"schema"`

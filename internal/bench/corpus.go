@@ -34,7 +34,6 @@ type CorpusSpec struct {
 	N        int64    // total jobs to produce
 	Families []string // famgen names and/or "gen"; empty means all
 	Seed     int64    // mixed into generated sources and names
-	Sizes    []int    // size cycle; empty means DefaultCorpusSizes
 }
 
 // CorpusFamilyNames returns every name a CorpusSpec accepts, sorted.
@@ -61,9 +60,6 @@ func NewCorpusSource(spec CorpusSpec) (*CorpusSource, error) {
 	}
 	if len(spec.Families) == 0 {
 		spec.Families = CorpusFamilyNames()
-	}
-	if len(spec.Sizes) == 0 {
-		spec.Sizes = DefaultCorpusSizes
 	}
 	byName := map[string]func(int) *ir.Func{}
 	for _, fam := range Families() {
@@ -95,7 +91,7 @@ func (s *CorpusSource) JobAt(i int64) driver.Job {
 	famIdx := int(i % int64(len(s.build)))
 	ord := i / int64(len(s.build)) // per-family ordinal
 	name := s.spec.Families[famIdx]
-	size := s.spec.Sizes[(ord+int64(famIdx))%int64(len(s.spec.Sizes))]
+	size := DefaultCorpusSizes[(ord+int64(famIdx))%int64(len(DefaultCorpusSizes))]
 	if b := s.build[famIdx]; b != nil {
 		return driver.Job{
 			Name:   fmt.Sprintf("%s-%d#%d", name, size, ord),

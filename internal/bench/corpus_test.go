@@ -110,36 +110,36 @@ func TestCorpusJobAtPure(t *testing.T) {
 // audit sampling and the differential spot check must all come back
 // clean.
 func TestCorpusSweepSmoke(t *testing.T) {
-	entries, err := RunCorpusSweep(CorpusOptions{
+	runs, err := RunCorpusSweep(CorpusOptions{
 		N: 160, Seed: 11, Workers: 2,
 		CheckEvery: 40, SpotCheck: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(Algos) * (1 + len(Families()) + 1) // "*" + famgen families + gen
-	if len(entries) != wantRows {
-		t.Fatalf("%d corpus rows, want %d", len(entries), wantRows)
+	if len(runs) != len(Algos) {
+		t.Fatalf("%d pipeline runs, want %d", len(runs), len(Algos))
 	}
-	perPipeline := map[string]int64{}
-	for _, e := range entries {
-		if e.Family == "*" {
-			if e.Jobs != 160 {
-				t.Errorf("%s: global row has %d jobs, want 160", e.Pipeline, e.Jobs)
-			}
-			if e.PeakHeapB <= 0 {
-				t.Errorf("%s: no peak-heap sample", e.Pipeline)
-			}
-			if e.Checked == 0 {
-				t.Errorf("%s: audit sampling never ran", e.Pipeline)
-			}
-			continue
+	wantFams := len(Families()) + 1 // famgen families + gen
+	for _, r := range runs {
+		if r.Global.Jobs != 160 {
+			t.Errorf("%v: global fold has %d jobs, want 160", r.Algo, r.Global.Jobs)
 		}
-		perPipeline[e.Pipeline] += e.Jobs
-	}
-	for pipe, jobs := range perPipeline {
+		if r.Report.PeakHeap <= 0 {
+			t.Errorf("%v: no peak-heap sample", r.Algo)
+		}
+		if r.Global.Checked == 0 {
+			t.Errorf("%v: audit sampling never ran", r.Algo)
+		}
+		if len(r.Families) != wantFams {
+			t.Errorf("%v: %d family folds, want %d", r.Algo, len(r.Families), wantFams)
+		}
+		jobs := int64(0)
+		for _, fa := range r.Families {
+			jobs += fa.Jobs
+		}
 		if jobs != 160 {
-			t.Errorf("%s: family rows sum to %d jobs, want 160", pipe, jobs)
+			t.Errorf("%v: family folds sum to %d jobs, want 160", r.Algo, jobs)
 		}
 	}
 }

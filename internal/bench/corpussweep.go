@@ -14,46 +14,18 @@ import (
 
 // The streamed-corpus sweep: synthesize a skew-cost corpus of N
 // functions per pipeline, stream it through the bounded-memory engine,
-// and record per-family aggregates plus the engine's scheduler and
-// peak-heap counters. A differential spot check re-synthesizes sampled
-// indices and replays them through the batch path, asserting the
-// streamed pipeline produced byte-identical output.
+// and return the streaming reducer's global and per-family folds plus
+// the engine's scheduler and peak-heap counters. A differential spot
+// check re-synthesizes sampled indices and replays them through the
+// batch path, asserting the streamed pipeline produced byte-identical
+// output.
 
-// CorpusEntry is one row of the streamed sweep: the "*" family row
-// carries the run-wide engine numbers, family rows the per-family
-// aggregates.
-type CorpusEntry struct {
-	Pipeline  string  `json:"pipeline"`
-	Family    string  `json:"family"` // "*" for the whole run
-	Jobs      int64   `json:"jobs"`
-	Errors    int64   `json:"errors,omitempty"`
-	Phis      int64   `json:"phis"`
-	Inserted  int64   `json:"copies_inserted"`
-	Coalesced int64   `json:"copies_coalesced"`
-	Static    int64   `json:"static_copies"`
-	K         int     `json:"k,omitempty"`
-	Spills    int64   `json:"spills,omitempty"`
-	Checked   int64   `json:"checked,omitempty"`
-	Findings  int64   `json:"findings,omitempty"`
-	WallNs    float64 `json:"wall_ns,omitempty"`         // "*" rows only
-	FuncsSec  float64 `json:"funcs_per_sec,omitempty"`   // "*" rows only
-	PeakHeapB int64   `json:"peak_heap_bytes,omitempty"` // "*" rows only
-	Pulls     int64   `json:"pulls,omitempty"`           // "*" rows only
-	Steals    int64   `json:"steals,omitempty"`          // "*" rows only
-}
-
-// SchedEntry is one measurement of the retired scheduler microbenchmark
-// (the same prebuilt skew-cost jobs, claimed either one at a time off
-// the shared counter or in chunks with stealing); the committed
-// BENCH_10.json carries two.
-type SchedEntry struct {
-	Mode    string  `json:"mode"` // single-counter | chunked-stealing
-	Workers int     `json:"workers"`
-	Chunk   int     `json:"chunk"`
-	Jobs    int64   `json:"jobs"`
-	WallNs  float64 `json:"wall_ns"` // best of 3
-	Pulls   int64   `json:"pulls"`
-	Steals  int64   `json:"steals"`
+// CorpusRun is one pipeline's pass of the streamed sweep.
+type CorpusRun struct {
+	Algo     Algo
+	Global   driver.Totals
+	Families []driver.FamilyAgg // sorted by name
+	Report   *driver.StreamReport
 }
 
 // CorpusOptions configure RunCorpusSweep.
@@ -76,8 +48,8 @@ type spotSample struct {
 }
 
 // RunCorpusSweep streams the corpus through all four pipelines and
-// returns the per-family rows.
-func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, error) {
+// returns one CorpusRun per pipeline, in Algos order.
+func RunCorpusSweep(opt CorpusOptions) ([]CorpusRun, error) {
 	logw := opt.Log
 	if logw == nil {
 		logw = io.Discard
@@ -85,7 +57,7 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, error) {
 	if opt.N <= 0 {
 		opt.N = 100_000
 	}
-	var entries []CorpusEntry
+	var runs []CorpusRun
 	for _, algo := range Algos {
 		src, err := NewCorpusSource(CorpusSpec{N: opt.N, Families: opt.Families, Seed: opt.Seed})
 		if err != nil {
@@ -140,28 +112,7 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, error) {
 		if g.CheckFindings > 0 {
 			return nil, fmt.Errorf("%v: %d audit findings in streamed corpus", algo, g.CheckFindings)
 		}
-		entries = append(entries, CorpusEntry{
-			Pipeline: algo.String(), Family: "*",
-			Jobs: g.Jobs, Errors: g.Errors,
-			Phis: g.PhisInserted, Inserted: g.CopiesInserted,
-			Coalesced: g.CopiesCoalesced, Static: g.StaticCopies,
-			K: opt.RegallocK, Spills: g.Spills,
-			Checked: g.Checked, Findings: g.CheckFindings,
-			WallNs:    float64(rep.Wall.Nanoseconds()),
-			FuncsSec:  float64(g.Jobs) / rep.Wall.Seconds(),
-			PeakHeapB: rep.PeakHeap,
-			Pulls:     rep.Pulls, Steals: rep.Steals,
-		})
-		for _, fa := range red.Families() {
-			entries = append(entries, CorpusEntry{
-				Pipeline: algo.String(), Family: fa.Family,
-				Jobs: fa.Jobs, Errors: fa.Errors,
-				Phis: fa.PhisInserted, Inserted: fa.CopiesInserted,
-				Coalesced: fa.CopiesCoalesced, Static: fa.StaticCopies,
-				K: opt.RegallocK, Spills: fa.Spills,
-				Checked: fa.Checked, Findings: fa.CheckFindings,
-			})
-		}
+		runs = append(runs, CorpusRun{Algo: algo, Global: g.Totals, Families: red.Families(), Report: rep})
 
 		if step > 0 {
 			if err := spotCheck(src, cfg, samples); err != nil {
@@ -170,7 +121,7 @@ func RunCorpusSweep(opt CorpusOptions) ([]CorpusEntry, error) {
 			fmt.Fprintf(logw, "  spot-check:    %d sampled jobs match the batch path\n", len(samples))
 		}
 	}
-	return entries, nil
+	return runs, nil
 }
 
 // spotCheck re-synthesizes each sampled index and replays it through

@@ -78,7 +78,7 @@ func FormatTableExt(rows []ExtRow) string {
 		"File", "instrs", "opt instrs", "speedup", "dyncopies", "opt dyn", "static", "opt st")
 	var ti, to float64
 	for _, r := range rows {
-		sp := float64(r.PlainInstrs) / float64(max64(r.OptInstrs, 1))
+		sp := float64(r.PlainInstrs) / float64(max(r.OptInstrs, 1))
 		out += fmt.Sprintf("%-10s %12d %12d %7.2fx | %10d %10d | %8d %8d\n",
 			r.Name, r.PlainInstrs, r.OptInstrs, sp,
 			r.PlainCopies, r.OptCopies, r.StaticPlain, r.StaticOpt)

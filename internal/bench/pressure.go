@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"fastcoalesce/internal/driver"
 	"fastcoalesce/internal/interp"
 	"fastcoalesce/internal/ir"
-	"fastcoalesce/internal/regalloc"
 )
 
 // The register-pressure sweep: allocate every pipeline's coalesced output
@@ -46,26 +46,21 @@ var PressureKs = []int{4, 8, 16, 32}
 const famPressureSize = 32
 
 // pressurePoint allocates one φ-free pipeline output g (in place) with k
-// registers and folds the outcome into e. want is the original program's
-// interpreter result — the end-to-end oracle; arrays builds a fresh input
-// set per run (the runs write to them). SpillOps is measured against g's
-// own pre-allocation execution, so edge-split jumps and other pipeline
-// artifacts cancel out and only spill traffic remains.
+// registers through the driver's backend, driver.Allocate, on the warm
+// scratch sc, and folds the outcome into e. want is the original
+// program's interpreter result — the end-to-end oracle; arrays builds a
+// fresh input set per run (the runs write to them). SpillOps is measured
+// against g's own pre-allocation execution, so edge-split jumps and other
+// pipeline artifacts cancel out and only spill traffic remains.
 func pressurePoint(e *PressureEntry, name string, want *interp.Result, g *ir.Func, k int,
-	args []int64, arrays func() [][]int64, rsc *regalloc.Scratch) error {
+	args []int64, arrays func() [][]int64, sc *driver.Scratch) error {
 	base, err := interp.Run(g, args, arrays(), 500_000_000)
 	if err != nil {
 		return fmt.Errorf("%s/%s %s pre-alloc: %w", e.Scope, name, e.Pipeline, err)
 	}
-	res, err := regalloc.AllocateScratch(g, regalloc.Options{K: k}, rsc)
+	res, err := driver.Allocate(g, driver.Config{RegallocK: k}, sc)
 	if err != nil {
-		return fmt.Errorf("%s/%s k=%d: %w", e.Scope, name, k, err)
-	}
-	if err := regalloc.VerifyAllocation(g, res.Colors, k); err != nil {
-		return fmt.Errorf("%s/%s k=%d: %w", e.Scope, name, k, err)
-	}
-	if err := g.Verify(); err != nil {
-		return fmt.Errorf("%s/%s k=%d: spilled code invalid: %w", e.Scope, name, k, err)
+		return fmt.Errorf("%s/%s %s: %w", e.Scope, name, e.Pipeline, err)
 	}
 	got, err := interp.Run(g, args, arrays(), 500_000_000)
 	if err != nil {
@@ -80,18 +75,14 @@ func pressurePoint(e *PressureEntry, name string, want *interp.Result, g *ir.Fun
 	e.Reloads += res.Reloads
 	e.Rounds += res.Rounds
 	e.SpillOps += (got.Counts.Instrs - got.Counts.Copies) - (base.Counts.Instrs - base.Counts.Copies)
-	if res.ColorsUsed > e.ColorsUsed {
-		e.ColorsUsed = res.ColorsUsed
-	}
-	if res.MaxPressure > e.MaxPressure {
-		e.MaxPressure = res.MaxPressure
-	}
+	e.ColorsUsed = max(e.ColorsUsed, res.ColorsUsed)
+	e.MaxPressure = max(e.MaxPressure, res.MaxPressure)
 	return nil
 }
 
 // RunPressureSweep measures every (scope, pipeline, k) cell: the whole
 // workload suite plus each famgen family, through all four pipelines,
-// at every k in PressureKs. One warm regalloc.Scratch serves every
+// at every k in PressureKs. One warm driver.Scratch serves every
 // allocation, so the sweep also exercises the allocator's scratch-reuse
 // path under constantly changing function shapes.
 func RunPressureSweep() ([]PressureEntry, error) {
@@ -124,14 +115,14 @@ func RunPressureSweep() ([]PressureEntry, error) {
 	}
 	noArrays := func() [][]int64 { return nil }
 
-	var rsc regalloc.Scratch
+	var sc driver.Scratch
 	var out []PressureEntry
 	for _, k := range PressureKs {
 		for _, algo := range Algos {
 			e := PressureEntry{Scope: "suite", Pipeline: algo.String(), K: k}
 			for i, w := range ws {
 				g := RunPipeline(origs[i], algo).Func
-				if err := pressurePoint(&e, w.Name, wants[i], g, k, w.Args, w.Arrays, &rsc); err != nil {
+				if err := pressurePoint(&e, w.Name, wants[i], g, k, w.Args, w.Arrays, &sc); err != nil {
 					return nil, err
 				}
 			}
@@ -141,7 +132,7 @@ func RunPressureSweep() ([]PressureEntry, error) {
 			for _, algo := range Algos {
 				e := PressureEntry{Scope: fam.Name, Pipeline: algo.String(), K: k}
 				g := RunPipeline(famFuncs[fi], algo).Func
-				if err := pressurePoint(&e, fam.Name, famWants[fi], g, k, nil, noArrays, &rsc); err != nil {
+				if err := pressurePoint(&e, fam.Name, famWants[fi], g, k, nil, noArrays, &sc); err != nil {
 					return nil, err
 				}
 				out = append(out, e)

@@ -214,7 +214,7 @@ func FormatTable1(rows []Table1Row) string {
 	}
 	n := float64(len(rows))
 	fmt.Fprintf(&sb, "%-10s %10.6f %10.6f | matrix bytes: Briggs %d, Briggs* %d (%.1fx)\n",
-		"AVERAGE", tB/n, tS/n, mB, mS, float64(mB)/float64(max64(mS, 1)))
+		"AVERAGE", tB/n, tS/n, mB, mS, float64(mB)/float64(max(mS, 1)))
 	return sb.String()
 }
 
@@ -245,18 +245,4 @@ func FormatTimedTable(title, unit string, rows []TimedRow) string {
 		fmt.Fprintf(&sb, "(values in %s)\n", unit)
 	}
 	return sb.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -264,15 +264,10 @@ func (t *Tree) StrictlyDominates(a, b ir.BlockID) bool {
 	return a != b && t.Dominates(a, b)
 }
 
-// Frontiers computes the dominance frontier of every block using the
-// Cytron et al. two-predecessor walk.
-func (t *Tree) Frontiers() [][]ir.BlockID {
-	df, _ := t.FrontiersInto(nil, nil)
-	return df
-}
-
-// FrontiersInto is Frontiers reusing caller-provided buffers (both may be
-// nil or from a previous call); it returns them for the next reuse.
+// FrontiersInto computes the dominance frontier of every block using the
+// Cytron et al. two-predecessor walk, reusing caller-provided buffers
+// (both may be nil or from a previous call); it returns them for the
+// next reuse.
 func (t *Tree) FrontiersInto(df [][]ir.BlockID, inDF []ir.BlockID) ([][]ir.BlockID, []ir.BlockID) {
 	f := t.f
 	n := len(f.Blocks)

@@ -176,11 +176,17 @@ func TestPreorderIntervals(t *testing.T) {
 	}
 }
 
+// frontiers computes t's dominance frontiers on fresh buffers.
+func frontiers(t *Tree) [][]ir.BlockID {
+	df, _ := t.FrontiersInto(nil, nil)
+	return df
+}
+
 func TestFrontiers(t *testing.T) {
 	// Diamond: DF(1) = DF(2) = {3}; DF(0) = DF(3) = {}.
 	f := buildCFG(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	dt := New(f)
-	df := dt.Frontiers()
+	df := frontiers(dt)
 	if len(df[1]) != 1 || df[1][0] != 3 {
 		t.Errorf("DF(1) = %v, want [3]", df[1])
 	}
@@ -196,7 +202,7 @@ func TestFrontiersLoop(t *testing.T) {
 	// Loop: 0->1; 1->2,4; 2->3; 3->1. Header 1 is in DF of 1,2,3.
 	f := buildCFG(t, 5, [][2]int{{0, 1}, {1, 2}, {1, 4}, {2, 3}, {3, 1}})
 	dt := New(f)
-	df := dt.Frontiers()
+	df := frontiers(dt)
 	has := func(b int, x ir.BlockID) bool {
 		for _, y := range df[b] {
 			if y == x {

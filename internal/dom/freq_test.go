@@ -12,7 +12,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestFrequenciesStraightLine(t *testing.T) {
 	f := buildCFG(t, 3, [][2]int{{0, 1}, {1, 2}})
 	dt := New(f)
-	fr := dt.EstimateFrequencies(dt.FindLoops())
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	for b := 0; b < 3; b++ {
 		if !almost(fr[b], 1) {
 			t.Fatalf("freq[%d] = %v, want 1", b, fr[b])
@@ -24,7 +24,7 @@ func TestFrequenciesBranchDilution(t *testing.T) {
 	// Diamond: each arm runs half the time; the join recombines to 1.
 	f := buildCFG(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	dt := New(f)
-	fr := dt.EstimateFrequencies(dt.FindLoops())
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	if !almost(fr[1], 0.5) || !almost(fr[2], 0.5) {
 		t.Fatalf("arm freqs = %v, %v, want 0.5", fr[1], fr[2])
 	}
@@ -37,7 +37,7 @@ func TestFrequenciesLoopMultiplier(t *testing.T) {
 	// 0 -> 1(header) -> 2 -> 1 back edge; 1 -> 3 exit.
 	f := buildCFG(t, 4, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 1}})
 	dt := New(f)
-	fr := dt.EstimateFrequencies(dt.FindLoops())
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	if !almost(fr[1], 10) {
 		t.Fatalf("header freq = %v, want 10", fr[1])
 	}
@@ -56,8 +56,7 @@ func TestFrequenciesNestedLoops(t *testing.T) {
 		{0, 1}, {1, 2}, {1, 5}, {2, 3}, {3, 2}, {3, 4}, {4, 1},
 	})
 	dt := New(f)
-	li := dt.FindLoops()
-	fr := dt.EstimateFrequencies(li)
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	// Inner header should be ~10x the outer body's flow into it.
 	if fr[2] < 10*fr[1]/2*0.99 {
 		t.Fatalf("inner header %v not amplified over outer %v", fr[2], fr[1])
@@ -76,7 +75,7 @@ func TestFrequenciesDistinguishArmFromLatch(t *testing.T) {
 		{0, 1}, {1, 2}, {1, 6}, {2, 3}, {2, 4}, {3, 5}, {4, 5}, {5, 1},
 	})
 	dt := New(f)
-	fr := dt.EstimateFrequencies(dt.FindLoops())
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	if !(fr[3] < fr[5]) || !(fr[4] < fr[5]) {
 		t.Fatalf("arm freqs %v, %v not below latch %v", fr[3], fr[4], fr[5])
 	}
@@ -88,7 +87,7 @@ func TestFrequenciesDistinguishArmFromLatch(t *testing.T) {
 func TestFrequenciesIrreducibleDoesNotPanic(t *testing.T) {
 	f := buildCFG(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 1}, {1, 3}, {2, 3}})
 	dt := New(f)
-	fr := dt.EstimateFrequencies(dt.FindLoops())
+	fr := dt.EstimateFrequenciesInto(&FreqScratch{})
 	for b, v := range fr {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("freq[%d] = %v", b, v)

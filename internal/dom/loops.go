@@ -21,8 +21,6 @@ type Loop struct {
 type LoopInfo struct {
 	Loops []Loop
 	Depth []int32 // Depth[b] = number of natural loops containing block b
-
-	headers []bool // per block: is a natural-loop header
 }
 
 // FindLoops detects natural loops from back edges (an edge d->h where h
@@ -31,10 +29,10 @@ type LoopInfo struct {
 // Body in increasing block order.
 func (t *Tree) FindLoops() *LoopInfo {
 	n := len(t.f.Blocks)
-	li := &LoopInfo{Depth: make([]int32, n), headers: make([]bool, n)}
+	li := &LoopInfo{Depth: make([]int32, n)}
 	var sc LoopScratch
 	inBody := bitset.New(n) // one loop's body, to list it in block order
-	for _, h := range t.loopHeaders(li.headers, nil) {
+	for _, h := range t.loopHeaders(make([]bool, n), nil) {
 		body := t.loopBody(h, &sc)
 		for _, b := range body {
 			li.Depth[b]++
@@ -146,70 +144,35 @@ func (t *Tree) loopBody(h ir.BlockID, sc *LoopScratch) []ir.BlockID {
 	return body
 }
 
-// EstimateFrequencies produces a static execution-frequency estimate per
-// block: the entry runs once, a conditional branch splits its frequency
-// evenly across successors, and every natural-loop header multiplies the
-// incoming frequency by 10 (the classic "10 iterations per loop" guess
-// behind Chaitin-style spill costs). Back edges are ignored during
-// propagation, so the computation is a single reverse-postorder sweep.
+// FreqScratch holds the reusable state of EstimateFrequenciesInto. The
+// zero value is ready to use; a FreqScratch belongs to one goroutine.
+type FreqScratch struct {
+	isHeader []bool
+	headers  []ir.BlockID
+	freq     []float64
+}
+
+// EstimateFrequenciesInto produces a static execution-frequency estimate
+// per block: the entry runs once, a conditional branch splits its
+// frequency evenly across successors, and every natural-loop header
+// multiplies the incoming frequency by 10 (the classic "10 iterations per
+// loop" guess behind Chaitin-style spill costs). Back edges are ignored
+// during propagation, so the computation is a single reverse-postorder
+// sweep, and only the loop headers are needed, not the loop bodies
+// FindLoops discovers.
 //
 // Unlike raw loop depth, this distinguishes a conditionally executed arm
 // inside a loop from the always-executed latch — which is what copy-
 // placement decisions need.
-func (t *Tree) EstimateFrequencies(li *LoopInfo) []float64 {
-	f := t.f
-	n := len(f.Blocks)
-	freq := make([]float64, n)
-	freq[f.Entry] = 1
-	for _, b := range t.RPO {
-		if b == f.Entry {
-			continue
-		}
-		sum := 0.0
-		for _, p := range f.Blocks[b].Preds {
-			if t.RPONum[p] < t.RPONum[b] { // forward edge
-				sum += freq[p] / float64(len(f.Blocks[p].Succs))
-			}
-		}
-		if li.headers[b] {
-			if sum == 0 {
-				sum = 1 // irreducible entry: degrade gracefully
-			}
-			sum *= 10
-		}
-		if sum < 1e-9 {
-			sum = 1e-9
-		}
-		freq[b] = sum
-	}
-	return freq
-}
-
-// FreqScratch holds the reusable state of EstimateFrequenciesInto. The
-// zero value is ready to use; a FreqScratch belongs to one goroutine.
-type FreqScratch struct {
-	headers []bool
-	freq    []float64
-}
-
-// EstimateFrequenciesInto is EstimateFrequencies reusing sc's memory. It
-// also skips the loop-body discovery FindLoops performs: the estimate
-// only needs to know which blocks head a natural loop, which falls
-// directly out of a back-edge scan (an edge d->h where h dominates d).
+//
 // The returned slice aliases sc and is invalidated by the next call with
 // the same FreqScratch; a warm call allocates nothing.
 func (t *Tree) EstimateFrequenciesInto(sc *FreqScratch) []float64 {
 	f := t.f
 	n := len(f.Blocks)
-	headers := reuse.Zeroed(sc.headers, n)
-	sc.headers = headers
-	for b := 0; b < n; b++ {
-		for _, s := range f.Blocks[b].Succs {
-			if t.Dominates(s, ir.BlockID(b)) {
-				headers[s] = true
-			}
-		}
-	}
+	isHeader := reuse.Zeroed(sc.isHeader, n)
+	sc.headers = t.loopHeaders(isHeader, sc.headers[:0])
+	sc.isHeader = isHeader
 	freq := reuse.Zeroed(sc.freq, n)
 	sc.freq = freq
 	freq[f.Entry] = 1
@@ -223,7 +186,7 @@ func (t *Tree) EstimateFrequenciesInto(sc *FreqScratch) []float64 {
 				sum += freq[p] / float64(len(f.Blocks[p].Succs))
 			}
 		}
-		if headers[b] {
+		if isHeader[b] {
 			if sum == 0 {
 				sum = 1 // irreducible entry: degrade gracefully
 			}

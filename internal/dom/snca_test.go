@@ -43,8 +43,8 @@ func assertSameTree(t *testing.T, f *ir.Func, chk, snca *Tree) {
 			t.Fatalf("RPO[%d]: chk=%d semi-nca=%d", i, chk.RPO[i], snca.RPO[i])
 		}
 	}
-	dfc := chk.Frontiers()
-	dfs := snca.Frontiers()
+	dfc := frontiers(chk)
+	dfs := frontiers(snca)
 	for b := range dfc {
 		if len(dfc[b]) != len(dfs[b]) {
 			t.Fatalf("Frontier[%d]: chk=%v semi-nca=%v", b, dfc[b], dfs[b])

@@ -30,40 +30,24 @@ type FuncMetrics struct {
 	MaxPressure    int // max simultaneously-live variables before spilling
 }
 
-// Snapshot aggregates one batch run. Phase times are per-function spans
-// summed across workers — on an oversubscribed host a span includes time
-// the goroutine spent descheduled, so the sum can exceed wall time.
-// AllocBytes is the process-wide allocation delta over the batch, which
-// under concurrency is the only attribution the runtime offers.
-type Snapshot struct {
-	Algo      Algo
-	Workers   int
-	Functions int // jobs that compiled successfully
-	Errors    int
-
-	Wall        time.Duration
-	FuncsPerSec float64
-
-	Parse    time.Duration
-	Build    time.Duration
-	Destruct time.Duration
-	Regalloc time.Duration
-	Check    time.Duration
-
-	RegallocK      int   // Config.RegallocK (0 = allocator off)
-	Spills         int64 // spilled live ranges across the batch
-	Reloads        int64
-	RegallocRounds int64
-	ColorsUsed     int64 // max distinct registers used by any function
-	MaxPressure    int64 // max register pressure seen by any function
+// Totals folds job Results into counts, sums and maxima. It is the one
+// fold behind both the batch Snapshot and the streamed StreamStats, so
+// the two engines cannot count a job differently. Add applies three
+// rules: a skipped job counts only as Skipped; audit accounting happens
+// before the error skip, so a job whose checker ran contributes its
+// findings even if a later stage failed; and a failed job adds nothing
+// else. Colours and pressure are maxima, everything else a sum, so the
+// fold is independent of the order Results arrive in.
+type Totals struct {
+	Jobs    int64 // jobs compiled, including failures
+	Errors  int64
+	Skipped int64 // streamed jobs drained before a worker started them
 
 	Checked       int64 // jobs that ran the audit
 	CheckFindings int64 // diagnostics across those jobs
 
 	CacheHits   int64 // jobs served from the content-addressed cache
 	Revalidated int64 // cache hits recompiled and byte-compared (audited jobs, Config.Check)
-
-	AllocBytes int64
 
 	PhisInserted    int64
 	CopiesFolded    int64
@@ -72,57 +56,112 @@ type Snapshot struct {
 	StaticCopies    int64
 	LivenessVisits  int64
 	DomRecomputes   int64
+
+	Spills         int64 // spilled live ranges
+	Reloads        int64
+	RegallocRounds int64
+	ColorsUsed     int64 // max distinct registers used by any function
+	MaxPressure    int64 // max register pressure seen by any function
+
+	// Per-function phase spans, summed. On an oversubscribed host a span
+	// includes time the goroutine spent descheduled, so the sum can
+	// exceed wall time.
+	Parse    time.Duration
+	Build    time.Duration
+	Destruct time.Duration
+	Regalloc time.Duration
+	Check    time.Duration
+}
+
+// Add folds one Result into t.
+func (t *Totals) Add(r *Result) {
+	if r.Skipped {
+		t.Skipped++
+		return
+	}
+	t.Jobs++
+	m := &r.Metrics
+	if r.Report != nil {
+		t.Checked++
+		t.Check += m.Check
+		t.CheckFindings += int64(m.CheckFindings)
+	}
+	if r.Err != nil {
+		t.Errors++
+		return
+	}
+	if r.Cached {
+		t.CacheHits++
+	}
+	if r.Revalidated {
+		t.Revalidated++
+	}
+	t.Parse += m.Parse
+	t.Build += m.Build
+	t.Destruct += m.Destruct
+	t.Regalloc += m.Regalloc
+	t.PhisInserted += int64(m.PhisInserted)
+	t.CopiesFolded += int64(m.CopiesFolded)
+	t.CopiesInserted += int64(m.CopiesInserted)
+	t.CopiesCoalesced += int64(m.CopiesCoalesced)
+	t.StaticCopies += int64(m.StaticCopies)
+	t.LivenessVisits += int64(m.LivenessVisits)
+	t.DomRecomputes += int64(m.DomRecomputes)
+	t.Spills += int64(m.Spills)
+	t.Reloads += int64(m.Reloads)
+	t.RegallocRounds += int64(m.RegallocRounds)
+	t.ColorsUsed = max(t.ColorsUsed, int64(m.ColorsUsed))
+	t.MaxPressure = max(t.MaxPressure, int64(m.MaxPressure))
+}
+
+// perSec is the throughput both tables print: compiled jobs, failures
+// included, per second of wall time.
+func (t *Totals) perSec(wall time.Duration) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return float64(t.Jobs) / wall.Seconds()
+}
+
+// writeLines prints the copies, regalloc and checks lines that the batch
+// and streamed tables share; the regalloc line only when the allocator
+// ran (regallocK > 0), the checks line only when a job was audited.
+func (t *Totals) writeLines(b *strings.Builder, regallocK int) {
+	fmt.Fprintf(b, "  copies:        phis %-8d folded %-8d coalesced %-8d inserted %-8d static %d\n",
+		t.PhisInserted, t.CopiesFolded, t.CopiesCoalesced, t.CopiesInserted, t.StaticCopies)
+	if regallocK > 0 {
+		fmt.Fprintf(b, "  regalloc:      k %-4d spills %-8d reloads %-8d colors<=%-3d pressure %d\n",
+			regallocK, t.Spills, t.Reloads, t.ColorsUsed, t.MaxPressure)
+	}
+	if t.Checked > 0 {
+		fmt.Fprintf(b, "  checks:        audited %-8d findings %d\n", t.Checked, t.CheckFindings)
+	}
+}
+
+// Snapshot aggregates one batch run. AllocBytes is the process-wide
+// allocation delta over the batch, which under concurrency is the only
+// attribution the runtime offers.
+type Snapshot struct {
+	Algo      Algo
+	Workers   int
+	Functions int // jobs that compiled successfully
+	Totals
+
+	Wall        time.Duration
+	FuncsPerSec float64
+
+	RegallocK  int // Config.RegallocK (0 = allocator off)
+	AllocBytes int64
 }
 
 // summarize folds per-job results into a Snapshot.
 func summarize(results []Result, algo Algo, workers int, wall time.Duration, alloc int64, regallocK int) *Snapshot {
 	s := &Snapshot{Algo: algo, Workers: workers, Wall: wall, AllocBytes: alloc, RegallocK: regallocK}
 	for i := range results {
-		r := &results[i]
-		// Audit accounting happens before the error skip: a job whose
-		// checker ran still contributes its findings even if a later
-		// stage errored.
-		if r.Report != nil {
-			s.Checked++
-			s.Check += r.Metrics.Check
-			s.CheckFindings += int64(r.Metrics.CheckFindings)
-		}
-		if r.Err != nil {
-			s.Errors++
-			continue
-		}
-		s.Functions++
-		if r.Cached {
-			s.CacheHits++
-		}
-		if r.Revalidated {
-			s.Revalidated++
-		}
-		m := &r.Metrics
-		s.Parse += m.Parse
-		s.Build += m.Build
-		s.Destruct += m.Destruct
-		s.PhisInserted += int64(m.PhisInserted)
-		s.CopiesFolded += int64(m.CopiesFolded)
-		s.CopiesInserted += int64(m.CopiesInserted)
-		s.CopiesCoalesced += int64(m.CopiesCoalesced)
-		s.StaticCopies += int64(m.StaticCopies)
-		s.LivenessVisits += int64(m.LivenessVisits)
-		s.DomRecomputes += int64(m.DomRecomputes)
-		s.Regalloc += m.Regalloc
-		s.Spills += int64(m.Spills)
-		s.Reloads += int64(m.Reloads)
-		s.RegallocRounds += int64(m.RegallocRounds)
-		if int64(m.ColorsUsed) > s.ColorsUsed {
-			s.ColorsUsed = int64(m.ColorsUsed)
-		}
-		if int64(m.MaxPressure) > s.MaxPressure {
-			s.MaxPressure = int64(m.MaxPressure)
-		}
+		s.Add(&results[i])
 	}
-	if wall > 0 {
-		s.FuncsPerSec = float64(s.Functions) / wall.Seconds()
-	}
+	s.Functions = int(s.Jobs - s.Errors)
+	s.FuncsPerSec = s.perSec(wall)
 	return s
 }
 
@@ -142,20 +181,11 @@ func (s *Snapshot) Table() string {
 	fmt.Fprintf(&b, "  wall %-12v throughput %8.1f funcs/sec   alloc %s (%s/func)\n",
 		s.Wall.Round(time.Microsecond), s.FuncsPerSec,
 		fmtBytes(s.AllocBytes), fmtBytes(perFunc))
-	fmt.Fprintf(&b, "  cpu phases:    parse %-10v ssa-build %-10v destruct %v\n",
+	fmt.Fprintf(&b, "  cpu phases:    parse %-10v ssa-build %-10v destruct %-10v regalloc %-10v check %v\n",
 		s.Parse.Round(time.Microsecond), s.Build.Round(time.Microsecond),
-		s.Destruct.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  copies:        phis %-6d folded %-6d coalesced %-6d inserted %-6d static %d\n",
-		s.PhisInserted, s.CopiesFolded, s.CopiesCoalesced, s.CopiesInserted, s.StaticCopies)
-	if s.RegallocK > 0 {
-		fmt.Fprintf(&b, "  regalloc:      k %-4d spills %-6d reloads %-6d rounds %-5d colors<=%-3d pressure %-4d time %v\n",
-			s.RegallocK, s.Spills, s.Reloads, s.RegallocRounds, s.ColorsUsed, s.MaxPressure,
-			s.Regalloc.Round(time.Microsecond))
-	}
-	if s.Checked > 0 {
-		fmt.Fprintf(&b, "  checks:        audited %-6d findings %-6d time %v\n",
-			s.Checked, s.CheckFindings, s.Check.Round(time.Microsecond))
-	}
+		s.Destruct.Round(time.Microsecond), s.Regalloc.Round(time.Microsecond),
+		s.Check.Round(time.Microsecond))
+	s.writeLines(&b, s.RegallocK)
 	if s.CacheHits > 0 {
 		fmt.Fprintf(&b, "  cache:         hits %-6d revalidated %d\n",
 			s.CacheHits, s.Revalidated)

@@ -28,58 +28,10 @@ type StreamStats struct {
 	Total    PhaseHist
 }
 
-// FamilyAgg accumulates one family's results (or, for the global row,
-// everything).
+// FamilyAgg is one family's fold (or, for the global row, everything).
 type FamilyAgg struct {
-	Family  string
-	Jobs    int64 // compiled, including failures
-	Errors  int64
-	Skipped int64
-
-	PhisInserted    int64
-	CopiesFolded    int64
-	CopiesInserted  int64
-	CopiesCoalesced int64
-	StaticCopies    int64
-	LivenessVisits  int64
-	DomRecomputes   int64
-
-	Checked       int64
-	CheckFindings int64
-
-	Spills      int64
-	Reloads     int64
-	ColorsUsed  int64 // max over the family
-	MaxPressure int64 // max over the family
-}
-
-// add folds one compiled (non-skipped) result.
-func (a *FamilyAgg) add(r *Result) {
-	a.Jobs++
-	if r.Report != nil {
-		a.Checked++
-		a.CheckFindings += int64(r.Metrics.CheckFindings)
-	}
-	if r.Err != nil {
-		a.Errors++
-		return
-	}
-	m := &r.Metrics
-	a.PhisInserted += int64(m.PhisInserted)
-	a.CopiesFolded += int64(m.CopiesFolded)
-	a.CopiesInserted += int64(m.CopiesInserted)
-	a.CopiesCoalesced += int64(m.CopiesCoalesced)
-	a.StaticCopies += int64(m.StaticCopies)
-	a.LivenessVisits += int64(m.LivenessVisits)
-	a.DomRecomputes += int64(m.DomRecomputes)
-	a.Spills += int64(m.Spills)
-	a.Reloads += int64(m.Reloads)
-	if int64(m.ColorsUsed) > a.ColorsUsed {
-		a.ColorsUsed = int64(m.ColorsUsed)
-	}
-	if int64(m.MaxPressure) > a.MaxPressure {
-		a.MaxPressure = int64(m.MaxPressure)
-	}
+	Family string
+	Totals
 }
 
 // PhaseHist is a log₂ histogram of durations: bucket i counts samples
@@ -127,16 +79,12 @@ func NewStreamStats() *StreamStats {
 func (s *StreamStats) Reduce(r *Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r.Skipped {
-		s.global.Skipped++
-		if r.Family != "" {
-			s.family(r.Family).Skipped++
-		}
-		return
-	}
-	s.global.add(r)
+	s.global.Add(r)
 	if r.Family != "" {
-		s.family(r.Family).add(r)
+		s.family(r.Family).Add(r)
+	}
+	if r.Skipped {
+		return
 	}
 	s.Destruct.observe(r.Metrics.Destruct)
 	s.Total.observe(r.Metrics.Parse + r.Metrics.Build + r.Metrics.Destruct + r.Metrics.Regalloc + r.Metrics.Check)
@@ -208,23 +156,11 @@ func (s *StreamStats) Table(rep *StreamReport, algo Algo, regallocK int) string 
 		fmt.Fprintf(&b, " (%d skipped)", g.Skipped)
 	}
 	b.WriteByte('\n')
-	fps := float64(0)
-	if rep.Wall > 0 {
-		fps = float64(g.Jobs) / rep.Wall.Seconds()
-	}
 	fmt.Fprintf(&b, "  wall %-12v throughput %8.1f funcs/sec   peak-heap %s\n",
-		rep.Wall.Round(time.Microsecond), fps, fmtBytes(rep.PeakHeap))
+		rep.Wall.Round(time.Microsecond), g.perSec(rep.Wall), fmtBytes(rep.PeakHeap))
 	fmt.Fprintf(&b, "  scheduler:     pulls %-8d steals %-6d stolen-jobs %d\n",
 		rep.Pulls, rep.Steals, rep.StolenJob)
-	fmt.Fprintf(&b, "  copies:        phis %-8d folded %-8d coalesced %-8d inserted %-8d static %d\n",
-		g.PhisInserted, g.CopiesFolded, g.CopiesCoalesced, g.CopiesInserted, g.StaticCopies)
-	if regallocK > 0 {
-		fmt.Fprintf(&b, "  regalloc:      k %-4d spills %-8d reloads %-8d colors<=%-3d pressure %d\n",
-			regallocK, g.Spills, g.Reloads, g.ColorsUsed, g.MaxPressure)
-	}
-	if g.Checked > 0 {
-		fmt.Fprintf(&b, "  checks:        audited %-8d findings %d\n", g.Checked, g.CheckFindings)
-	}
+	g.writeLines(&b, regallocK)
 	fams := s.Families()
 	if len(fams) > 0 {
 		fmt.Fprintf(&b, "  %-22s %10s %10s %12s %10s %10s\n",

@@ -116,9 +116,6 @@ type Options struct {
 	// A nil Depth means program order.
 	Depth []int32
 
-	// MaxPasses bounds the loop as a safety net (0 means no bound).
-	MaxPasses int
-
 	// RecordNameMap makes Coalesce publish the cumulative input-name →
 	// output-name mapping in CoalesceStats.NameMap for external auditing.
 	RecordNameMap bool
@@ -176,9 +173,6 @@ func CoalesceScratch(f *ir.Func, opt Options, sc *Scratch) *CoalesceStats {
 		cs.Passes = append(cs.Passes, ps)
 		cs.CopiesCoalesced += ps.Coalesced
 		if !changed {
-			break
-		}
-		if opt.MaxPasses > 0 && len(cs.Passes) >= opt.MaxPasses {
 			break
 		}
 	}

@@ -33,16 +33,18 @@ import (
 type Options struct {
 	K int // number of registers (colors); must be >= 2
 
-	// MaxRounds bounds the build/spill iteration (safety net; 0 = 32).
-	MaxRounds int
-
 	// Obs, when non-nil, records regalloc-build / regalloc-color /
 	// regalloc-spill spans per round. A nil tracer is a free no-op.
 	Obs *obs.Tracer
 }
 
+// maxRounds caps the build/spill iteration. It is a safety net: reload
+// temporaries are structurally unspillable, which already guarantees
+// termination.
+const maxRounds = 32
+
 // Result describes an allocation. On success every field is final; on
-// MaxRounds exhaustion Allocate returns the partial Result alongside the
+// maxRounds exhaustion Allocate returns the partial Result alongside the
 // error — the round, spill, and pressure counts still describe the work
 // done, and Colors holds the last attempt (failed ranges stay -1).
 type Result struct {
@@ -97,10 +99,6 @@ type spillRewriter func(sc *Scratch, f *ir.Func, toSpill []ir.VarID, arr ir.ArrI
 func (sc *Scratch) allocate(f *ir.Func, opt Options, rewrite spillRewriter) (*Result, error) {
 	if opt.K < 2 {
 		return nil, fmt.Errorf("regalloc: need K >= 2, got %d", opt.K)
-	}
-	maxRounds := opt.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 32
 	}
 	tr := opt.Obs
 	res := &Result{}
@@ -369,32 +367,4 @@ func (cf *clashFinder) Visit(d int32, across bitset.Set) {
 			cf.clash = [2]ir.VarID{ir.VarID(d), ir.VarID(l)}
 		}
 	})
-}
-
-// RewriteToRegisters renames every variable to its register, producing
-// code whose variable count is at most K. Distinct live ranges sharing a
-// register become one IR variable, which is exactly what register
-// assignment means.
-func RewriteToRegisters(f *ir.Func, colors []int, k int) {
-	regs := make([]ir.VarID, k)
-	for c := 0; c < k; c++ {
-		regs[c] = f.NewVar(fmt.Sprintf("r%d", c))
-	}
-	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			if in.Op.HasDef() {
-				in.Def = regs[colors[in.Def]]
-			}
-			for ai := range in.Args {
-				in.Args[ai] = regs[colors[in.Args[ai]]]
-			}
-			if in.Op == ir.OpCopy && in.Def == in.Args[0] {
-				continue // copies between ranges given the same register
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
 }

@@ -78,44 +78,6 @@ func TestAllocateSpillsUnderPressure(t *testing.T) {
 	}
 }
 
-func TestRewriteToRegisters(t *testing.T) {
-	orig, f := prep(t, pressureSrc)
-	res, err := regalloc.Allocate(f, regalloc.Options{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regalloc.RewriteToRegisters(f, res.Colors, 4)
-	if err := f.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// Count distinct variables actually used: at most K.
-	used := map[ir.VarID]bool{}
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op.HasDef() {
-				used[in.Def] = true
-			}
-			for _, a := range in.Args {
-				used[a] = true
-			}
-		}
-	}
-	if len(used) > 4 {
-		t.Fatalf("register-rewritten code uses %d names, want <= 4", len(used))
-	}
-	for _, args := range [][]int64{{3, 4}, {-7, 9}} {
-		want, _ := interp.Run(orig, args, nil, 1_000_000)
-		got, err := interp.Run(f, args, nil, 1_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !interp.SameResult(want, got) {
-			t.Fatalf("register code: f(%v) = %d, want %d", args, got.Ret, want.Ret)
-		}
-	}
-}
-
 func TestAllocateRejectsBadK(t *testing.T) {
 	_, f := prep(t, pressureSrc)
 	if _, err := regalloc.Allocate(f, regalloc.Options{K: 1}); err == nil {

@@ -61,11 +61,6 @@ type Options struct {
 	Flavor     Flavor
 	FoldCopies bool // delete copies during renaming (§1)
 
-	// KeepCriticalEdges suppresses the up-front critical-edge split. The
-	// destruction algorithms require split edges (lost-copy problem, §3.6),
-	// so this is only for tests and measurements of the split itself.
-	KeepCriticalEdges bool
-
 	// Scratch, when non-nil, supplies reusable construction memory. The
 	// resulting SSA form is identical; only allocation behavior differs.
 	Scratch *Scratch
@@ -147,9 +142,7 @@ func Build(f *ir.Func, opt Options) *Stats {
 		sc = &Scratch{}
 	}
 	f.RemoveUnreachable()
-	if !opt.KeepCriticalEdges {
-		st.EdgesSplit = f.SplitCriticalEdges()
-	}
+	st.EdgesSplit = f.SplitCriticalEdges()
 
 	// One liveness computation serves both strictness enforcement and
 	// pruned φ placement: the entry initializations only add definitions
