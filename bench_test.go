@@ -323,6 +323,46 @@ func BenchmarkExtAllocation(b *testing.B) {
 	}
 }
 
+// BenchmarkExtAllocationLarge measures the allocator at scale: New's
+// output for generated programs shaped like the large benchmark's (800,
+// 1 600 and 3 200 statements), allocated at k = 8 on a warm Scratch, the
+// way a batch worker runs it. Two untimed calls warm the Scratch (the
+// liveness arena settles on the second), and each iteration allocates a
+// fresh clone, made outside the timed region.
+func BenchmarkExtAllocationLarge(b *testing.B) {
+	for _, stmts := range []int{800, 1600, 3200} {
+		w := bench.Generate(int64(stmts), bench.GenConfig{Stmts: stmts, MaxDepth: 3, Scalars: 2, Arrays: 1})
+		f, err := bench.CompileWorkload(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := bench.RunPipeline(f, bench.New).Func
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			var sc regalloc.Scratch
+			opt := regalloc.Options{K: 8}
+			for range 2 {
+				if _, err := regalloc.AllocateScratch(g.Clone(), opt, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var spills int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h := g.Clone()
+				b.StartTimer()
+				res, err := regalloc.AllocateScratch(h, opt, &sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spills = res.SpilledVars
+			}
+			b.ReportMetric(float64(spills), "spills/op")
+		})
+	}
+}
+
 // --- Microbenchmarks of the paper's data structure -----------------------
 
 func BenchmarkDominanceForestBuild(b *testing.B) {

@@ -70,6 +70,47 @@ func TestPressureSweepDifferential(t *testing.T) {
 	}
 }
 
+// TestPressureSweepMatchesCommitted pins the sweep to its committed
+// record: re-run, the sweep must reproduce every (scope, pipeline, k)
+// cell of BENCH_9.json's pressure section field for field. The sweep has
+// since grown families the record predates; their cells are not
+// compared.
+func TestPressureSweepMatchesCommitted(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep BenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Pressure) == 0 {
+		t.Fatal("BENCH_9.json carries no pressure-sweep entries")
+	}
+	entries, err := RunPressureSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		scope, pipeline string
+		k               int
+	}
+	swept := map[cell]PressureEntry{}
+	for _, e := range entries {
+		swept[cell{e.Scope, e.Pipeline, e.K}] = e
+	}
+	for _, want := range rep.Pressure {
+		got, ok := swept[cell{want.Scope, want.Pipeline, want.K}]
+		if !ok {
+			t.Errorf("%s/%s k=%d: committed, but the sweep has no such cell", want.Scope, want.Pipeline, want.K)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s/%s k=%d: swept %+v, committed %+v", want.Scope, want.Pipeline, want.K, got, want)
+		}
+	}
+}
+
 // TestPressureFamilyPins is the spill-count regression pin: the famgen
 // families are deterministic, the pipelines are deterministic, and the
 // allocator is deterministic, so the spill counts at a tight k=2 are

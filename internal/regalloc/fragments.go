@@ -2,15 +2,14 @@ package regalloc
 
 import (
 	"fastcoalesce/internal/ir"
-	"fastcoalesce/internal/liveness"
 	"fastcoalesce/internal/reuse"
 )
 
-// build computes liveness, the live-range fragments, the interference
-// graph, and the spill costs of f, weighted by the block frequencies
-// freq, in one combined backward walk, reusing sc's memory. It returns
-// the maximum register pressure (simultaneously live variables) seen at
-// any program point.
+// build computes the live-range fragments, the interference graph, and
+// the spill costs of f, weighted by the block frequencies freq, in one
+// combined backward walk from the live-out sets appendLiveOut gives,
+// reusing sc's memory. It returns the maximum register pressure
+// (simultaneously live variables) seen at any program point.
 //
 // The walk is Chaitin's: at each definition the defined variable
 // interferes with everything currently live, except that a copy's source
@@ -20,14 +19,16 @@ import (
 // every coloring against it, so the two cross-check each other). Fragments
 // fall out for free: a variable's death point is the position where the
 // backward walk first sees it, and its definition (or the block entry)
-// closes the interval.
+// closes the interval. The walk appends every edge it meets to both
+// endpoints' lists, repeats included, and dedupEdges removes the repeats
+// afterwards, so the graph costs memory in proportion to the edges the
+// walk visits rather than to the square of the names.
+//
+// fc:hotpath
 func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 	nv := f.NumVars()
-	li := liveness.ComputeScratch(f, &sc.live)
-
-	sc.adj = reuse.Truncated(sc.adj, nv)
-	triBits := nv * (nv - 1) / 2
-	sc.matrix = reuse.Zeroed(sc.matrix, (triBits+63)/64)
+	adj := reuse.Truncated(sc.adj, nv)
+	sc.adj = adj
 	livePos := reuse.Slice(sc.livePos, nv)
 	sc.livePos = livePos
 	for i := range livePos {
@@ -40,12 +41,10 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 
 	for _, b := range f.Blocks {
 		m := len(b.Instrs)
-		list := sc.liveList[:0]
-		it := li.LiveOutNames(b.ID)
-		for v, ok := it.Next(); ok; v, ok = it.Next() {
-			livePos[v] = int32(len(list))
+		list := sc.appendLiveOut(sc.liveList[:0], b.ID)
+		for i, v := range list {
+			livePos[v] = int32(i)
 			death[v] = int32(m)
-			list = append(list, v)
 		}
 		if len(list) > maxPressure {
 			maxPressure = len(list)
@@ -63,7 +62,8 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 				}
 				for _, l := range list {
 					if l != d && l != exempt {
-						sc.addEdge(int32(d), int32(l))
+						adj[d] = append(adj[d], int32(l))
+						adj[l] = append(adj[l], int32(d))
 					}
 				}
 				if p := livePos[d]; p >= 0 {
@@ -100,10 +100,42 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 		sc.liveList = list[:0]
 	}
 
-	// Spill costs: uses + defs weighted by the static execution-frequency
-	// estimate (loop headers ×10), replacing the cruder 10^depth weight —
-	// a conditionally executed arm inside a loop now costs less than the
-	// always-executed latch.
+	sc.dedupEdges()
+	sc.spillCosts(f, freq)
+	degree := reuse.Slice(sc.degree, nv)
+	sc.degree = degree
+	sc.maxDegree = 0
+	for v := range degree {
+		degree[v] = int32(len(adj[v]))
+		sc.maxDegree = max(sc.maxDegree, len(adj[v]))
+	}
+	return maxPressure
+}
+
+// appendLiveOut appends to dst the names live out of block b in the
+// current round, in VarID order: the first round's live-out names less
+// every name spilled since. Under spill-everywhere a spilled name is used
+// only by the stores that follow its definitions, and every temporary the
+// rewrite adds is defined and used inside one block, so spill code
+// removes exactly the spilled names from the block-boundary live sets and
+// adds none: a fresh solve of the rewritten function gives the same lists.
+func (sc *Scratch) appendLiveOut(dst []ir.VarID, b ir.BlockID) []ir.VarID {
+	epoch := sc.spillEpoch
+	it := sc.li.LiveOutNames(b)
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		if sc.spilled[v] != epoch {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// spillCosts fills each name's spill cost, its uses and defs weighted by
+// the static execution-frequency estimate (loop headers ×10, so a
+// conditionally executed arm inside a loop costs less than the
+// always-executed latch), and marks the names f mentions.
+func (sc *Scratch) spillCosts(f *ir.Func, freq []float64) {
+	nv := f.NumVars()
 	cost := reuse.Zeroed(sc.cost, nv)
 	sc.cost = cost
 	appears := reuse.Zeroed(sc.appears, nv)
@@ -122,12 +154,6 @@ func (sc *Scratch) build(f *ir.Func, freq []float64) (maxPressure int) {
 			}
 		}
 	}
-	degree := reuse.Slice(sc.degree, nv)
-	sc.degree = degree
-	for v := range degree {
-		degree[v] = int32(len(sc.adj[v]))
-	}
-	return maxPressure
 }
 
 // pushFrag folds one fragment of v into the per-variable aggregates the

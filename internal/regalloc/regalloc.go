@@ -111,9 +111,12 @@ func (sc *Scratch) allocate(f *ir.Func, opt Options, rewrite spillRewriter) (*Re
 		tr.Begin(obs.PhaseRegallocBuild)
 		if res.Rounds == 1 {
 			// Spill code adds instructions and names but never blocks or
-			// edges, so one frequency estimate serves every round.
+			// edges, so one frequency estimate serves every round; and it
+			// only takes the spilled names out of the block-boundary live
+			// sets, so one liveness solve does too (appendLiveOut).
 			sc.dom.Recompute(f)
 			freq = sc.dom.EstimateFrequenciesInto(&sc.freq)
+			sc.li = liveness.ComputeScratch(f, &sc.live)
 		}
 		pressure := sc.build(f, freq)
 		tr.End(obs.PhaseRegallocBuild)
@@ -168,95 +171,82 @@ func (sc *Scratch) allocate(f *ir.Func, opt Options, rewrite spillRewriter) (*Re
 // select failed to color (empty on success). Simplify maintains a
 // low-degree worklist instead of rescanning all nodes per pass; when the
 // worklist runs dry it optimistically pushes the candidate with the
-// lowest cost/(degree+1), skipping already-spilled and tiny ranges.
+// lowest cost/(degree+1), the lowest VarID among equals, skipping
+// already-spilled and tiny ranges. The candidates come from a heap built
+// at the first blocked step (heapMin), not from a pass over every name.
+//
+// fc:hotpath
 func (sc *Scratch) color(f *ir.Func, k int) []ir.VarID {
 	nv := f.NumVars()
-	degree := sc.degree
 	removed := reuse.Zeroed(sc.removed, nv)
 	sc.removed = removed
-	stack := sc.stack[:0]
-	low := sc.low[:0]
+	sc.stack = sc.stack[:0]
+	sc.low = sc.low[:0]
 	nodes := 0
 	for v := 0; v < nv; v++ {
 		if sc.appears[v] {
 			nodes++
-			if int(degree[v]) < k {
-				low = append(low, ir.VarID(v))
+			if int(sc.degree[v]) < k {
+				sc.low = append(sc.low, ir.VarID(v))
 			}
 		} else {
 			removed[v] = true
 		}
 	}
-	remove := func(v ir.VarID) {
-		removed[v] = true
-		stack = append(stack, v)
-		for _, n := range sc.adj[v] {
-			if !removed[n] {
-				degree[n]--
-				if int(degree[n]) == k-1 {
-					low = append(low, ir.VarID(n))
-				}
-			}
-		}
-	}
-	epoch := sc.spillEpoch
-	for len(stack) < nodes {
-		if len(low) > 0 {
-			v := low[len(low)-1]
-			low = low[:len(low)-1]
+	blocked := false
+	for len(sc.stack) < nodes {
+		if n := len(sc.low); n > 0 {
+			v := sc.low[n-1]
+			sc.low = sc.low[:n-1]
 			if !removed[v] {
-				remove(v)
+				sc.remove(v, k)
 			}
 			continue
 		}
 		// Blocked: push the best spill candidate optimistically (Briggs —
 		// it may still color if its neighbors end up sharing registers).
-		best := ir.VarID(-1)
-		bestScore := 0.0
-		for v := 0; v < nv; v++ {
-			if removed[v] || sc.spilled[v] == epoch || sc.tinyRange(ir.VarID(v)) {
-				continue
-			}
-			score := sc.cost[v] / float64(degree[v]+1)
-			if best < 0 || score < bestScore {
-				best, bestScore = ir.VarID(v), score
-			}
+		if !blocked {
+			sc.heapInit(nv)
+			blocked = true
 		}
+		best := sc.heapMin()
 		if best < 0 {
 			// Everything left is already-spilled tiny ranges; push them
 			// all and hope optimism colors them (their degree is small).
 			for v := 0; v < nv; v++ {
 				if !removed[v] {
-					remove(ir.VarID(v))
+					sc.remove(ir.VarID(v), k)
 				}
 			}
 			continue
 		}
-		remove(best)
+		sc.remove(best, k)
 	}
-	sc.low = low
 
 	// Select: pop in reverse, assigning the lowest register not used by
-	// an already-colored neighbor; failures become the next spill set.
+	// an already-colored neighbor; failures become the next spill set. A
+	// node has at most maxDegree neighbors, so one of the registers
+	// [0, maxDegree] is always free and no higher one is ever assigned.
+	// The node at stack position i marks its neighbors' registers in
+	// inUse with i+1, so no node clears what the last one marked.
 	colors := reuse.Slice(sc.colors, nv)
 	sc.colors = colors
 	for v := range colors {
 		colors[v] = -1
 	}
-	inUse := reuse.Zeroed(sc.inUse, k)
+	inUse := reuse.Zeroed(sc.inUse, min(k, sc.maxDegree+1))
 	sc.inUse = inUse
 	toSpill := sc.toSpill[:0]
-	for i := len(stack) - 1; i >= 0; i-- {
-		v := stack[i]
-		clear(inUse)
+	for i := len(sc.stack) - 1; i >= 0; i-- {
+		v, mark := sc.stack[i], int32(i+1)
 		for _, n := range sc.adj[v] {
 			if c := colors[n]; c >= 0 {
-				inUse[c] = true
+				inUse[c] = mark
 			}
 		}
 		assigned := int32(-1)
-		for c := 0; c < k; c++ {
-			if !inUse[c] {
+		for c, m := range inUse {
+			if m != mark {
 				assigned = int32(c)
 				break
 			}
@@ -267,9 +257,105 @@ func (sc *Scratch) color(f *ir.Func, k int) []ir.VarID {
 		}
 		colors[v] = assigned
 	}
-	sc.stack = stack
 	sc.toSpill = toSpill
 	return toSpill
+}
+
+// remove takes v out of the graph onto the select stack, lowering its
+// remaining neighbors' degrees and queueing each one that drops below k.
+func (sc *Scratch) remove(v ir.VarID, k int) {
+	sc.removed[v] = true
+	sc.stack = append(sc.stack, v)
+	for _, n := range sc.adj[v] {
+		if !sc.removed[n] {
+			sc.degree[n]--
+			if int(sc.degree[n]) == k-1 {
+				sc.low = append(sc.low, ir.VarID(n))
+			}
+		}
+	}
+}
+
+// candidate is one spill candidate in color's heap: v with the score
+// cost/(degree+1) computed at degree deg.
+type candidate struct {
+	score float64
+	v     ir.VarID
+	deg   int32
+}
+
+// before orders the heap by score, then by VarID.
+func (a candidate) before(b candidate) bool {
+	return a.score < b.score || (a.score == b.score && a.v < b.v)
+}
+
+// heapInit fills the candidate heap with every name that is not removed,
+// not spilled this call and not a tiny range, each scored at its current
+// degree.
+//
+// fc:hotpath
+func (sc *Scratch) heapInit(nv int) {
+	h := sc.heap[:0]
+	epoch := sc.spillEpoch
+	for v := 0; v < nv; v++ {
+		if sc.removed[v] || sc.spilled[v] == epoch || sc.tinyRange(ir.VarID(v)) {
+			continue
+		}
+		d := sc.degree[v]
+		h = append(h, candidate{score: sc.cost[v] / float64(d+1), v: ir.VarID(v), deg: d})
+	}
+	sc.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		sc.siftDown(i)
+	}
+}
+
+// heapMin returns the candidate a scan over every remaining candidate
+// would pick — the lowest cost/(degree+1), the lowest VarID among equals
+// — or -1 when none remains. The heap is lazy: removed names leave only
+// when they reach the top, and a top whose degree has fallen since it was
+// scored is rescored and sifted down. Degrees only fall, so scores only
+// rise: every entry's key is at most its current score, and the first
+// top that needs no rescoring is the minimum.
+//
+// fc:hotpath
+func (sc *Scratch) heapMin() ir.VarID {
+	for len(sc.heap) > 0 {
+		top := &sc.heap[0]
+		switch d := sc.degree[top.v]; {
+		case sc.removed[top.v]:
+			last := len(sc.heap) - 1
+			sc.heap[0] = sc.heap[last]
+			sc.heap = sc.heap[:last]
+		case d != top.deg:
+			top.score, top.deg = sc.cost[top.v]/float64(d+1), d
+		default:
+			return top.v
+		}
+		sc.siftDown(0)
+	}
+	return -1
+}
+
+// siftDown restores the heap order below position i.
+//
+// fc:hotpath
+func (sc *Scratch) siftDown(i int) {
+	h := sc.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // finish copies the scratch coloring into the Result and fills the
@@ -282,8 +368,8 @@ func (sc *Scratch) finish(f *ir.Func, res *Result) {
 	for v := range colors {
 		c := int(sc.colors[v])
 		colors[v] = c
-		if c >= 0 && !sc.inUse[c] {
-			sc.inUse[c] = true
+		if c >= 0 && sc.inUse[c] == 0 {
+			sc.inUse[c] = 1
 			used++
 		}
 	}

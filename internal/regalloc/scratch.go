@@ -12,13 +12,16 @@ import (
 
 // Scratch holds the reusable state of one allocator instance: the
 // substrate analyses (dominators for spill-cost frequencies, liveness for
-// interference), the interference graph (triangular dedup bit matrix plus
-// adjacency lists), the backward-walk state that discovers live-range
-// fragments, the simplify/select tables, the spill rewriter's tables,
-// and the live set of VerifyAllocationScratch's walk. The zero value is
-// ready to use; a warm Scratch makes the no-spill allocation path
-// allocation-free except for the returned Result, and verification
-// allocation-free outright (both pinned by AllocsPerRun guards).
+// interference), the interference graph (adjacency lists, deduplicated
+// after the walk through one names-wide table), the backward-walk state
+// that discovers live-range fragments, the simplify/select tables and
+// the spill-candidate heap, the spill rewriter's tables, and the live
+// set of VerifyAllocationScratch's walk. Every table is as long as the
+// names, the blocks, the edges or the registers in use; none is
+// quadratic in the names. The zero value is ready to use; a warm Scratch
+// makes the no-spill allocation path allocation-free except for the
+// returned Result, and verification allocation-free outright (both
+// pinned by AllocsPerRun guards).
 //
 // The spilled marks use the generation-stamp idiom (ARCHITECTURE.md):
 // each Allocate call bumps spillEpoch instead of clearing the table, and
@@ -34,14 +37,22 @@ type Scratch struct {
 	live liveness.Scratch
 	freq dom.FreqScratch
 
-	// Interference graph over the variable namespace: adjacency lists
-	// plus a triangular bit matrix that dedups edge insertion, exactly
-	// the §4 representation ifgraph uses. VerifyAllocationScratch checks
-	// the coloring against ifgraph.Interferences instead, so the
-	// allocator's walk and the shared definition of interference
-	// cross-check each other on every verified allocation.
-	adj    [][]int32
-	matrix []uint64
+	// li is the liveness of the current call's input, solved once in its
+	// first round (it aliases live); every round reads its live-out sets
+	// less the spilled names (appendLiveOut).
+	li *liveness.Info
+
+	// Interference graph over the variable namespace: adjacency lists,
+	// each kept in the order its neighbours were first discovered. The
+	// walk appends every edge it meets to both lists and dedupEdges then
+	// keeps each neighbour's first occurrence, marking list i's entries
+	// in seen with i. VerifyAllocationScratch checks the coloring
+	// against ifgraph.Interferences instead, so the allocator's walk and
+	// the shared definition of interference cross-check each other on
+	// every verified allocation.
+	adj       [][]int32
+	seen      []int32
+	maxDegree int // the largest adjacency list of the last build
 
 	// Backward-walk state: the dense list of currently-live variables,
 	// each variable's position in it (-1 when dead), and the instruction
@@ -55,16 +66,18 @@ type Scratch struct {
 	fragCount []int32
 	fragLen   []int32
 
-	// Spill costs and coloring state.
+	// Spill costs and coloring state. inUse has one mark per register
+	// select may assign, min(K, maxDegree+1) of them.
 	cost    []float64
 	appears []bool
 	degree  []int32
 	removed []bool
 	stack   []ir.VarID
-	low     []ir.VarID // low-degree simplify worklist
+	low     []ir.VarID  // low-degree simplify worklist
+	heap    []candidate // blocked-step spill candidates (heapMin)
 	toSpill []ir.VarID
 	colors  []int32
-	inUse   []bool
+	inUse   []int32
 
 	spilled    []uint32 // fc:stamp spillEpoch
 	spillEpoch uint32   // fc:epoch
@@ -114,21 +127,27 @@ func (sc *Scratch) markSpilled(v ir.VarID) {
 	sc.spilled[v] = sc.spillEpoch
 }
 
-// addEdge records that variables i and j interfere, deduplicating
-// through the triangular bit matrix.
-func (sc *Scratch) addEdge(i, j int32) {
-	if i == j {
-		return
+// dedupEdges keeps the first occurrence of each neighbour in every
+// adjacency list. The walk appended each edge to both of its lists at
+// once, so the first occurrence of j in adj[i] sits exactly where a
+// deduplicating insertion would have put it, and the lists' order (and
+// with it simplify's) is that of a graph built without duplicates.
+//
+// fc:hotpath
+func (sc *Scratch) dedupEdges() {
+	seen := reuse.Slice(sc.seen, len(sc.adj))
+	sc.seen = seen
+	for i := range seen {
+		seen[i] = -1
 	}
-	if i < j {
-		i, j = j, i
+	for i, ns := range sc.adj {
+		kept := ns[:0]
+		for _, n := range ns {
+			if seen[n] != int32(i) {
+				seen[n] = int32(i)
+				kept = append(kept, n)
+			}
+		}
+		sc.adj[i] = kept
 	}
-	idx := int(i)*(int(i)-1)/2 + int(j)
-	w, bit := idx>>6, uint(idx)&63
-	if sc.matrix[w]&(1<<bit) != 0 {
-		return
-	}
-	sc.matrix[w] |= 1 << bit
-	sc.adj[i] = append(sc.adj[i], j)
-	sc.adj[j] = append(sc.adj[j], i)
 }
