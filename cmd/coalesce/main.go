@@ -36,7 +36,7 @@
 //	-stream   streamed mode: pull a generated corpus (or a -spool file)
 //	          through the bounded-memory engine — jobs are synthesized on
 //	          demand and results fold into a streaming reducer, so memory
-//	          stays O(workers × chunk) at any corpus size
+//	          stays O(workers) at any corpus size
 //	-spool    without -stream: write the generated corpus to this file in
 //	          the append-only spool format; with -stream: replay the file
 //	          instead of generating
@@ -131,7 +131,9 @@ func realMain() error {
 		if !*stream {
 			return writeSpool(*spool, *corpusN, fams, *seed)
 		}
-		return runStreamMode(*spool, *corpusN, fams, *seed, cfg, *checkEvery, *trace)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		return runStreamMode(ctx, os.Stdout, *spool, *corpusN, fams, *seed, cfg, *checkEvery, *trace)
 	}
 	if *batch != "" {
 		return runBatch(os.Stdout, *batch, cfg, *stats, *cachemb, *trace)
@@ -507,10 +509,11 @@ func writeSpool(path string, n int64, families []string, seed int64) error {
 }
 
 // runStreamMode pulls jobs from a generator-backed corpus (or a spool
-// file) through the streaming engine and prints the reducer's table.
-// Memory stays bounded by workers × chunk no matter how large the
-// corpus is; SIGINT/SIGTERM stops pulling and drains in-flight work.
-func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg driver.Config, checkEvery int, tracePath string) error {
+// file) through the streaming engine and writes the reducer's table to
+// w. Each worker holds one job, however large the corpus is. Cancelling
+// ctx (realMain does on SIGINT/SIGTERM) stops the claims, lets the jobs
+// in flight finish, and fails the run.
+func runStreamMode(ctx context.Context, w io.Writer, spoolPath string, n int64, families []string, seed int64, cfg driver.Config, checkEvery int, tracePath string) error {
 	var err error
 	var src driver.JobSource
 	var spoolSrc *driver.SpoolSource
@@ -531,13 +534,10 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	cfg.Obs = rec
 	red := driver.NewStreamStats()
 	rep := driver.RunStream(ctx, src, cfg, driver.StreamOptions{CheckEvery: checkEvery}, red)
-	fmt.Print(red.Table(rep, cfg.Algo, cfg.RegallocK))
+	fmt.Fprint(w, red.Table(rep, cfg.Algo, cfg.RegallocK))
 	if err := closeRec(); err != nil {
 		return err
 	}
@@ -553,8 +553,8 @@ func runStreamMode(spoolPath string, n int64, families []string, seed int64, cfg
 	if g.CheckFindings > 0 {
 		return fmt.Errorf("%d audit findings across %d audited jobs", g.CheckFindings, g.Checked)
 	}
-	if rep.Skipped > 0 {
-		return fmt.Errorf("cancelled: %d jobs skipped after %d processed", rep.Skipped, rep.Processed)
+	if ctx.Err() != nil {
+		return fmt.Errorf("cancelled after %d processed jobs", rep.Processed)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -160,5 +161,21 @@ func TestBatchHonorsFlavor(t *testing.T) {
 	}
 	if !differs {
 		t.Error("semi-pruned and pruned agree on every kernel; the test cannot tell the flavors apart")
+	}
+}
+
+// TestStreamModeReportsCancel: a streamed run whose context is cancelled
+// must fail, whether or not the cancel found a claimed job waiting. A
+// context cancelled before the run claims nothing at all.
+func TestStreamModeReportsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out bytes.Buffer
+	err := runStreamMode(ctx, &out, "", 100, nil, 1, driver.Config{Algo: driver.New, Workers: 2}, 0, "")
+	if err == nil || !strings.Contains(err.Error(), "cancelled") {
+		t.Fatalf("pre-cancelled stream returned %v, want an error naming the cancel", err)
+	}
+	if !strings.Contains(out.String(), "streamed 0") {
+		t.Errorf("pre-cancelled stream compiled jobs:\n%s", out.String())
 	}
 }

@@ -436,8 +436,8 @@ func runCorpus(c corpusConfig) error {
 		famDesc = strings.Join(fams, ",")
 	}
 	fmt.Printf("Streamed-corpus sweep: %d generated functions per pipeline (families: %s)\n", c.n, famDesc)
-	fmt.Printf("(bounded-memory engine: jobs synthesized on demand, chunked claims with\n")
-	fmt.Printf(" work stealing, results folded into a streaming reducer; host has %d CPU(s))\n\n", runtime.NumCPU())
+	fmt.Printf("(bounded-memory engine: jobs synthesized on demand, one claim per free\n")
+	fmt.Printf(" worker, results folded into a streaming reducer; host has %d CPU(s))\n\n", runtime.NumCPU())
 	runs, err := bench.RunCorpusSweep(bench.CorpusOptions{
 		N: c.n, Families: fams, Seed: c.seed,
 		Workers: c.workers, RegallocK: c.k,

@@ -12,8 +12,8 @@ import (
 
 // CorpusSource is the generator-backed JobSource: it synthesizes a
 // corpus of N functions on demand, round-robin across the requested
-// families, so a million-function run holds only the jobs currently in
-// worker deques. Every job is a pure function of its global index
+// families, so a million-function run holds only the job each worker is
+// compiling. Every job is a pure function of its global index
 // (family, size, and seed all derive from it), which buys two
 // properties the streamed tests lean on: the corpus is byte-identical
 // across schedules, and any sampled index can be re-synthesized later
@@ -25,8 +25,8 @@ const GenFamily = "gen"
 
 // DefaultCorpusSizes is the skewed size cycle: successive jobs of one
 // family alternate between trivial and deep shapes, so per-job cost
-// varies by orders of magnitude — the regime the streaming engine's
-// work stealing is for.
+// varies by orders of magnitude: while one worker compiles a deep job,
+// the others keep claiming the jobs behind it.
 var DefaultCorpusSizes = []int{3, 5, 8, 64, 4, 12, 96, 6}
 
 // CorpusSpec configures a CorpusSource.
@@ -111,19 +111,11 @@ func (s *CorpusSource) JobAt(i int64) driver.Job {
 	}
 }
 
-// Pull implements driver.JobSource: one atomic claim per chunk.
-func (s *CorpusSource) Pull(dst []driver.Job) (int, int64) {
-	n := int64(len(dst))
-	base := s.next.Add(n) - n
-	if base >= s.spec.N {
-		return 0, base
+// Next implements driver.JobSource: one atomic claim per job.
+func (s *CorpusSource) Next() (driver.Job, int64, bool) {
+	i := s.next.Add(1) - 1
+	if i >= s.spec.N {
+		return driver.Job{}, i, false
 	}
-	end := base + n
-	if end > s.spec.N {
-		end = s.spec.N
-	}
-	for k := base; k < end; k++ {
-		dst[k-base] = s.JobAt(k)
-	}
-	return int(end - base), base
+	return s.JobAt(i), i, true
 }

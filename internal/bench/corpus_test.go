@@ -8,43 +8,29 @@ import (
 	"fastcoalesce/internal/driver"
 )
 
-// pullLimit caps every Pull of its source at n jobs. The JobSource
-// contract allows short pulls, so the engine claims at most n jobs at a
-// time and the tests can vary the claim size without an engine option.
-type pullLimit struct {
-	driver.JobSource
-	n int
-}
-
-func (p pullLimit) Pull(dst []driver.Job) (int, int64) {
-	return p.JobSource.Pull(dst[:min(len(dst), p.n)])
-}
-
 // TestCorpusSourceDeterminism pins the streamed-corpus determinism
-// claim end to end: the same spec reduced under wildly different
-// schedules (worker counts, claim sizes) produces byte-identical
-// reducer counts, and JobAt is pure (re-synthesizing an index matches
-// what the stream saw).
+// claim end to end: the same spec reduced by different worker counts
+// produces byte-identical reducer counts.
 func TestCorpusSourceDeterminism(t *testing.T) {
 	spec := CorpusSpec{N: 240, Seed: 7}
-	run := func(workers, chunk int) string {
+	run := func(workers int) string {
 		src, err := NewCorpusSource(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		red := driver.NewStreamStats()
-		rep := driver.RunStream(context.Background(), pullLimit{src, chunk},
+		rep := driver.RunStream(context.Background(), src,
 			driver.Config{Algo: New, Workers: workers},
 			driver.StreamOptions{}, red)
 		if rep.Processed != spec.N {
-			t.Fatalf("workers=%d chunk=%d: processed %d of %d", workers, chunk, rep.Processed, spec.N)
+			t.Fatalf("workers=%d: processed %d of %d", workers, rep.Processed, spec.N)
 		}
 		if g := red.Global(); g.Errors > 0 {
-			t.Fatalf("workers=%d chunk=%d: %d job errors", workers, chunk, g.Errors)
+			t.Fatalf("workers=%d: %d job errors", workers, g.Errors)
 		}
 		return red.CountsText()
 	}
-	want := run(1, 1)
+	want := run(1)
 	if !strings.Contains(want, GenFamily+" ") {
 		t.Fatalf("counts lack the %q family:\n%s", GenFamily, want)
 	}
@@ -53,19 +39,16 @@ func TestCorpusSourceDeterminism(t *testing.T) {
 			t.Errorf("counts lack family %q", fam.Name)
 		}
 	}
-	for _, c := range []struct{ workers, chunk int }{
-		{4, 1}, {2, 16}, {3, 64}, {8, 7},
-	} {
-		if got := run(c.workers, c.chunk); got != want {
-			t.Errorf("workers=%d chunk=%d: counts diverge\n got: %s\nwant: %s",
-				c.workers, c.chunk, got, want)
+	for _, workers := range []int{2, 3, 4, 8} {
+		if got := run(workers); got != want {
+			t.Errorf("workers=%d: counts diverge\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
 }
 
-// TestCorpusJobAtPure: Pull must hand out exactly the jobs JobAt
-// synthesizes, so the sweep's differential spot check replays the same
-// input the stream compiled.
+// TestCorpusJobAtPure: Next must hand out exactly the jobs JobAt
+// synthesizes, in index order, so the sweep's differential spot check
+// replays the same input the stream compiled.
 func TestCorpusJobAtPure(t *testing.T) {
 	spec := CorpusSpec{N: 40, Seed: 3}
 	src, err := NewCorpusSource(spec)
@@ -76,27 +59,27 @@ func TestCorpusJobAtPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]driver.Job, 7)
 	seen := int64(0)
 	for {
-		n, base := src.Pull(buf)
-		if n == 0 {
+		got, idx, ok := src.Next()
+		if !ok {
 			break
 		}
-		for k := 0; k < n; k++ {
-			got, want := buf[k], ref.JobAt(base+int64(k))
-			if got.Name != want.Name || got.Family != want.Family || got.Src != want.Src {
-				t.Fatalf("job %d: pull gave %q/%q, JobAt gives %q/%q",
-					base+int64(k), got.Name, got.Family, want.Name, want.Family)
-			}
-			if (got.Func == nil) != (want.Func == nil) {
-				t.Fatalf("job %d: prebuilt mismatch", base+int64(k))
-			}
-			if got.Func != nil && got.Func.String() != want.Func.String() {
-				t.Fatalf("job %d: synthesized funcs differ", base+int64(k))
-			}
-			seen++
+		if idx != seen {
+			t.Fatalf("claim %d has index %d", seen, idx)
 		}
+		want := ref.JobAt(idx)
+		if got.Name != want.Name || got.Family != want.Family || got.Src != want.Src {
+			t.Fatalf("job %d: Next gave %q/%q, JobAt gives %q/%q",
+				idx, got.Name, got.Family, want.Name, want.Family)
+		}
+		if (got.Func == nil) != (want.Func == nil) {
+			t.Fatalf("job %d: prebuilt mismatch", idx)
+		}
+		if got.Func != nil && got.Func.String() != want.Func.String() {
+			t.Fatalf("job %d: synthesized funcs differ", idx)
+		}
+		seen++
 	}
 	if seen != spec.N {
 		t.Fatalf("pulled %d jobs, want %d", seen, spec.N)

@@ -70,44 +70,59 @@ func TestPressureSweepDifferential(t *testing.T) {
 	}
 }
 
-// TestPressureSweepMatchesCommitted pins the sweep to its committed
-// record: re-run, the sweep must reproduce every (scope, pipeline, k)
-// cell of BENCH_9.json's pressure section field for field. The sweep has
-// since grown families the record predates; their cells are not
-// compared.
+// TestPressureSweepMatchesCommitted pins every cell of the sweep to a
+// record: re-run, each (scope, pipeline, k) cell must match field for
+// field its entry in BENCH_9.json's pressure section or, for the
+// families that record predates, in testdata/pressure_families.json. A
+// swept cell recorded in neither fails, and so does a recorded cell the
+// sweep no longer has.
 func TestPressureSweepMatchesCommitted(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_9.json"))
-	if err != nil {
-		t.Fatal(err)
+	readJSON := func(path string, v any) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
 	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	readJSON(filepath.Join("..", "..", "BENCH_9.json"), &rep)
 	if len(rep.Pressure) == 0 {
 		t.Fatal("BENCH_9.json carries no pressure-sweep entries")
+	}
+	var families []PressureEntry
+	readJSON(filepath.Join("testdata", "pressure_families.json"), &families)
+	type cell struct {
+		scope, pipeline string
+		k               int
+	}
+	recorded := map[cell]PressureEntry{}
+	for _, e := range append(rep.Pressure, families...) {
+		c := cell{e.Scope, e.Pipeline, e.K}
+		if _, dup := recorded[c]; dup {
+			t.Errorf("%s/%s k=%d: recorded twice", e.Scope, e.Pipeline, e.K)
+		}
+		recorded[c] = e
 	}
 	entries, err := RunPressureSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	type cell struct {
-		scope, pipeline string
-		k               int
-	}
-	swept := map[cell]PressureEntry{}
-	for _, e := range entries {
-		swept[cell{e.Scope, e.Pipeline, e.K}] = e
-	}
-	for _, want := range rep.Pressure {
-		got, ok := swept[cell{want.Scope, want.Pipeline, want.K}]
+	for _, got := range entries {
+		c := cell{got.Scope, got.Pipeline, got.K}
+		want, ok := recorded[c]
 		if !ok {
-			t.Errorf("%s/%s k=%d: committed, but the sweep has no such cell", want.Scope, want.Pipeline, want.K)
+			t.Errorf("%s/%s k=%d: swept, but recorded in neither BENCH_9.json nor the golden file", got.Scope, got.Pipeline, got.K)
 			continue
 		}
+		delete(recorded, c)
 		if got != want {
-			t.Errorf("%s/%s k=%d: swept %+v, committed %+v", want.Scope, want.Pipeline, want.K, got, want)
+			t.Errorf("%s/%s k=%d: swept %+v, recorded %+v", got.Scope, got.Pipeline, got.K, got, want)
 		}
+	}
+	for c := range recorded {
+		t.Errorf("%s/%s k=%d: recorded, but the sweep has no such cell", c.scope, c.pipeline, c.k)
 	}
 }
 

@@ -121,12 +121,6 @@ type Result struct {
 	Err     error
 	Metrics FuncMetrics
 
-	// Skipped marks a streamed job that was never compiled because the
-	// run's context was cancelled after it was pulled but before a
-	// worker started it (RunStream's drain). Err then holds the
-	// context's cause.
-	Skipped bool
-
 	// Cached marks a result served from Config.Cache. Func is then the
 	// cache's shared copy and must be treated as read-only; Metrics
 	// carries the counts recorded when the entry was filled, with the
@@ -221,16 +215,14 @@ func (cfg *Config) fingerprint() string {
 // fails by returning those.
 func Run(jobs []Job, cfg Config) ([]Result, *Snapshot) {
 	// The batch is the streaming engine over a SliceSource, collected
-	// into the positional slice. It claims one job per pull: chunk-sized
-	// pull and deque buffers per worker would dominate the allocations
-	// of a warm-cache batch.
+	// into the positional slice.
 	scs := newScratches(cfg, workerCount(cfg, len(jobs)))
 	results := make([]Result, len(jobs))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	runStream(context.Background(), NewSliceSource(jobs), cfg, StreamOptions{},
-		sliceReducer(results), scs, 1)
+		sliceReducer(results), scs)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	snap := summarize(results, cfg.Algo, len(scs), wall, int64(ms1.TotalAlloc-ms0.TotalAlloc), cfg.RegallocK)

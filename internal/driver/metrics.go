@@ -32,16 +32,15 @@ type FuncMetrics struct {
 
 // Totals folds job Results into counts, sums and maxima. It is the one
 // fold behind both the batch Snapshot and the streamed StreamStats, so
-// the two engines cannot count a job differently. Add applies three
-// rules: a skipped job counts only as Skipped; audit accounting happens
-// before the error skip, so a job whose checker ran contributes its
-// findings even if a later stage failed; and a failed job adds nothing
-// else. Colours and pressure are maxima, everything else a sum, so the
-// fold is independent of the order Results arrive in.
+// the two engines cannot count a job differently. Add applies two
+// rules: audit accounting happens before the error skip, so a job whose
+// checker ran contributes its findings even if a later stage failed;
+// and a failed job adds nothing else. Colours and pressure are maxima,
+// everything else a sum, so the fold is independent of the order
+// Results arrive in.
 type Totals struct {
-	Jobs    int64 // jobs compiled, including failures
-	Errors  int64
-	Skipped int64 // streamed jobs drained before a worker started them
+	Jobs   int64 // jobs compiled, including failures
+	Errors int64
 
 	Checked       int64 // jobs that ran the audit
 	CheckFindings int64 // diagnostics across those jobs
@@ -75,10 +74,6 @@ type Totals struct {
 
 // Add folds one Result into t.
 func (t *Totals) Add(r *Result) {
-	if r.Skipped {
-		t.Skipped++
-		return
-	}
 	t.Jobs++
 	m := &r.Metrics
 	if r.Report != nil {

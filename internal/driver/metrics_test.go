@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -9,8 +8,8 @@ import (
 	"fastcoalesce/internal/driver"
 )
 
-// TestTotalsAdd pins the fold rules both engines share: what a skipped,
-// a failed, a cached and a revalidated job each count.
+// TestTotalsAdd pins the fold rules both engines share: what a failed,
+// a cached and a revalidated job each count.
 func TestTotalsAdd(t *testing.T) {
 	m := driver.FuncMetrics{
 		Parse: 1, Build: 2, Destruct: 3, Regalloc: 4, Check: 5,
@@ -45,8 +44,6 @@ func TestTotalsAdd(t *testing.T) {
 		rs   []driver.Result
 		want driver.Totals
 	}{
-		{"skipped", []driver.Result{{Skipped: true, Err: context.Canceled, Metrics: m}},
-			driver.Totals{Skipped: 1}},
 		{"failed audited", []driver.Result{{Err: errors.New("verify"), Report: report, Metrics: m}},
 			driver.Totals{Jobs: 1, Errors: 1, Checked: 1, CheckFindings: 2, Check: 5}},
 		{"cache hit", []driver.Result{{Cached: true, Metrics: m}}, hit},

@@ -14,7 +14,6 @@ type batchMetrics struct {
 	batches   *obs.Counter
 	jobs      *obs.Counter
 	errors    *obs.Counter
-	skipped   *obs.Counter
 	inflight  *obs.Gauge
 	inserted  *obs.Counter
 	coalesced *obs.Counter
@@ -41,8 +40,6 @@ func newBatchMetrics(cfg Config) batchMetrics {
 			"Jobs compiled (including failures).", algo),
 		errors: reg.Counter("fastcoalesce_job_errors_total",
 			"Jobs that failed to parse, convert, or verify.", algo),
-		skipped: reg.Counter("fastcoalesce_jobs_skipped_total",
-			"Jobs left uncompiled by a cancelled run (drain).", algo),
 		inflight: reg.Gauge("fastcoalesce_inflight_jobs",
 			"Jobs being compiled right now."),
 		inserted: reg.Counter("fastcoalesce_copies_inserted_total",
@@ -74,7 +71,7 @@ func newBatchMetrics(cfg Config) batchMetrics {
 	return bm
 }
 
-// observe folds one finished (non-skipped) job into the instruments.
+// observe folds one finished job into the instruments.
 func (m *batchMetrics) observe(r *Result) {
 	m.jobs.Inc()
 	if r.Err != nil {

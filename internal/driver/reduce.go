@@ -13,9 +13,9 @@ import (
 // into global and per-family aggregates — shape counts, spill totals at
 // the run's k, and log₂-bucketed phase-time histograms — in O(families)
 // memory. All counts are sums, maxima, or bucket increments, so the
-// folded state is independent of worker count, chunk size, and steal
-// order; CountsText exposes exactly that order-invariant subset and is
-// pinned byte-identical across schedules by the determinism tests.
+// folded state is independent of worker count and claim order;
+// CountsText exposes exactly that order-invariant subset and is pinned
+// byte-identical across worker counts by the determinism tests.
 type StreamStats struct {
 	mu     sync.Mutex
 	global FamilyAgg
@@ -83,9 +83,6 @@ func (s *StreamStats) Reduce(r *Result) {
 	if r.Family != "" {
 		s.family(r.Family).Add(r)
 	}
-	if r.Skipped {
-		return
-	}
 	s.Destruct.observe(r.Metrics.Destruct)
 	s.Total.observe(r.Metrics.Parse + r.Metrics.Build + r.Metrics.Destruct + r.Metrics.Regalloc + r.Metrics.Check)
 }
@@ -123,8 +120,8 @@ func (s *StreamStats) Families() []FamilyAgg {
 // CountsText renders every schedule-independent aggregate as one line
 // per scope (global first, then families sorted by name). Two streamed
 // runs over the same source produce byte-identical CountsText no matter
-// the worker count, chunk size, or steal interleaving — the determinism
-// tests pin this.
+// the worker count or the order jobs finish in — the determinism tests
+// pin this.
 func (s *StreamStats) CountsText() string {
 	var b strings.Builder
 	countsLine(&b, "*", s.Global())
@@ -135,8 +132,8 @@ func (s *StreamStats) CountsText() string {
 }
 
 func countsLine(b *strings.Builder, scope string, a FamilyAgg) {
-	fmt.Fprintf(b, "%s jobs=%d errors=%d skipped=%d phis=%d folded=%d inserted=%d coalesced=%d static=%d visits=%d domruns=%d checked=%d findings=%d spills=%d reloads=%d colors<=%d pressure=%d\n",
-		scope, a.Jobs, a.Errors, a.Skipped, a.PhisInserted, a.CopiesFolded,
+	fmt.Fprintf(b, "%s jobs=%d errors=%d phis=%d folded=%d inserted=%d coalesced=%d static=%d visits=%d domruns=%d checked=%d findings=%d spills=%d reloads=%d colors<=%d pressure=%d\n",
+		scope, a.Jobs, a.Errors, a.PhisInserted, a.CopiesFolded,
 		a.CopiesInserted, a.CopiesCoalesced, a.StaticCopies, a.LivenessVisits,
 		a.DomRecomputes, a.Checked, a.CheckFindings, a.Spills, a.Reloads,
 		a.ColorsUsed, a.MaxPressure)
@@ -148,18 +145,13 @@ func countsLine(b *strings.Builder, scope string, a FamilyAgg) {
 func (s *StreamStats) Table(rep *StreamReport, algo Algo, regallocK int) string {
 	g := s.Global()
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline %-9s workers %-3d chunk %-4d streamed %d", algo, rep.Workers, rep.Chunk, g.Jobs)
+	fmt.Fprintf(&b, "pipeline %-9s workers %-3d streamed %d", algo, rep.Workers, g.Jobs)
 	if g.Errors > 0 {
 		fmt.Fprintf(&b, " (%d errors)", g.Errors)
-	}
-	if g.Skipped > 0 {
-		fmt.Fprintf(&b, " (%d skipped)", g.Skipped)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  wall %-12v throughput %8.1f funcs/sec   peak-heap %s\n",
 		rep.Wall.Round(time.Microsecond), g.perSec(rep.Wall), fmtBytes(rep.PeakHeap))
-	fmt.Fprintf(&b, "  scheduler:     pulls %-8d steals %-6d stolen-jobs %d\n",
-		rep.Pulls, rep.Steals, rep.StolenJob)
 	g.writeLines(&b, regallocK)
 	fams := s.Families()
 	if len(fams) > 0 {

@@ -14,7 +14,7 @@ import (
 // of times (-stream), so a generated corpus — or a directory walk — can
 // be frozen and re-run byte-identically without holding any of it in
 // memory. Records are self-delimiting (uvarint-length fields), the
-// reader decodes them chunk by chunk under one lock, and prebuilt
+// reader decodes them one at a time under one lock, and prebuilt
 // functions are spooled as their canonical IR text, which the replay
 // parses like any other .ir input.
 
@@ -100,7 +100,7 @@ func (s *SpoolWriter) Flush() error { return s.w.Flush() }
 
 // SpoolSource replays a spool file as a JobSource. Decoding is
 // sequential under one mutex — the disk is the bottleneck, not the
-// lock — and each Pull hands out the next contiguous run of records.
+// lock — and each Next hands out the next record.
 type SpoolSource struct {
 	mu   sync.Mutex
 	r    *bufio.Reader
@@ -127,29 +127,25 @@ func OpenSpool(path string) (*SpoolSource, error) {
 	return &SpoolSource{r: r, c: f}, nil
 }
 
-// Pull implements JobSource. The first decode error ends the stream:
-// the bytes after a corrupt record no longer fall on record boundaries.
-func (s *SpoolSource) Pull(dst []Job) (int, int64) {
+// Next implements JobSource: it decodes the next record. The first
+// decode error ends the stream: the bytes after a corrupt record no
+// longer fall on record boundaries.
+func (s *SpoolSource) Next() (Job, int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	base := s.next
+	idx := s.next
 	if s.err != nil {
-		return 0, base
+		return Job{}, idx, false
 	}
-	n := 0
-	for n < len(dst) {
-		j, err := s.readJob()
-		if err != nil {
-			if err != io.EOF {
-				s.err = fmt.Errorf("spool record %d: %w", s.next, err)
-			}
-			break
+	j, err := s.readJob()
+	if err != nil {
+		if err != io.EOF {
+			s.err = fmt.Errorf("spool record %d: %w", idx, err)
 		}
-		dst[n] = j
-		n++
-		s.next++
+		return Job{}, idx, false
 	}
-	return n, base
+	s.next++
+	return j, idx, true
 }
 
 // readJob decodes one record; io.EOF only at a clean record boundary.

@@ -14,55 +14,100 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/analysis"
+	"fastcoalesce/internal/bench"
 	"fastcoalesce/internal/driver"
 )
 
-// pullLimit caps every Pull of its source at n jobs. The JobSource
-// contract allows short pulls, so the engine claims at most n jobs at a
-// time and the tests can vary the claim size without an engine option.
-type pullLimit struct {
-	driver.JobSource
-	n int
-}
-
-func (p pullLimit) Pull(dst []driver.Job) (int, int64) {
-	return p.JobSource.Pull(dst[:min(len(dst), p.n)])
-}
-
-// streamOnce runs the kernel suite through the streaming engine,
-// claiming at most chunk jobs per pull, and returns the reducer and
-// engine report.
-func streamOnce(t *testing.T, cfg driver.Config, chunk int) (*driver.StreamStats, *driver.StreamReport) {
+// streamOnce runs the kernel suite through the streaming engine and
+// returns the reducer and engine report.
+func streamOnce(t *testing.T, cfg driver.Config) (*driver.StreamStats, *driver.StreamReport) {
 	t.Helper()
 	red := driver.NewStreamStats()
-	src := pullLimit{driver.NewSliceSource(kernelJobs(t)), chunk}
-	rep := driver.RunStream(context.Background(), src, cfg, driver.StreamOptions{}, red)
+	rep := driver.RunStream(context.Background(), driver.NewSliceSource(kernelJobs(t)), cfg, driver.StreamOptions{}, red)
 	return red, rep
+}
+
+// claimTracker wraps a source and a reducer. It counts the jobs claimed
+// and reduced, and at every claim samples how many claimed jobs are not
+// yet reduced.
+type claimTracker struct {
+	driver.JobSource
+	red driver.Reducer
+
+	mu                         sync.Mutex
+	claimed, reduced, inFlight int64
+}
+
+func (c *claimTracker) Next() (driver.Job, int64, bool) {
+	j, idx, ok := c.JobSource.Next()
+	if ok {
+		c.mu.Lock()
+		c.claimed++
+		c.inFlight = max(c.inFlight, c.claimed-c.reduced)
+		c.mu.Unlock()
+	}
+	return j, idx, ok
+}
+
+func (c *claimTracker) Reduce(r *driver.Result) {
+	c.red.Reduce(r)
+	c.mu.Lock()
+	c.reduced++
+	c.mu.Unlock()
 }
 
 // TestStreamDeterministicReduction pins the tentpole determinism
 // contract: the reducer's counts are byte-identical no matter the
-// worker count, claim size, or steal order — scheduling can only
-// reorder commutative folds.
+// worker count — scheduling can only reorder commutative folds.
 func TestStreamDeterministicReduction(t *testing.T) {
 	for _, algo := range driver.Algos {
 		cfg := driver.Config{Algo: algo, Workers: 1}
-		base, rep := streamOnce(t, cfg, 1)
+		base, rep := streamOnce(t, cfg)
 		want := base.CountsText()
 		if rep.Processed == 0 {
 			t.Fatalf("%v: nothing processed", algo)
 		}
 		for _, workers := range []int{2, 5} {
 			cfg.Workers = workers
-			for _, chunk := range []int{1, 7, driver.DefaultChunk} {
-				got, _ := streamOnce(t, cfg, chunk)
-				if s := got.CountsText(); s != want {
-					t.Errorf("%v workers=%d chunk=%d: counts diverge\n got: %s\nwant: %s",
-						algo, workers, chunk, s, want)
-				}
+			got, _ := streamOnce(t, cfg)
+			if s := got.CountsText(); s != want {
+				t.Errorf("%v workers=%d: counts diverge\n got: %s\nwant: %s",
+					algo, workers, s, want)
 			}
 		}
 	}
+}
+
+// TestStreamOneJobPerWorker pins the engine's memory bound: a worker
+// claims its next job only after reducing the last one, so no more jobs
+// than workers are ever claimed and unreduced — on the kernel suite,
+// and on a generated corpus whose job costs are skewed.
+func TestStreamOneJobPerWorker(t *testing.T) {
+	run := func(name string, src driver.JobSource, n int64, workers int) {
+		tr := &claimTracker{JobSource: src, red: driver.NewStreamStats()}
+		rep := driver.RunStream(context.Background(), tr, driver.Config{Algo: driver.New, Workers: workers},
+			driver.StreamOptions{}, tr)
+		if tr.inFlight > int64(workers) {
+			t.Errorf("%s, %d workers: %d jobs claimed and unreduced at once", name, workers, tr.inFlight)
+		}
+		if rep.Processed != n || tr.claimed != n || tr.reduced != n {
+			t.Errorf("%s, %d workers: processed %d, claimed %d, reduced %d; want %d each",
+				name, workers, rep.Processed, tr.claimed, tr.reduced, n)
+		}
+		if rep.Pulls != rep.Processed {
+			t.Errorf("%s, %d workers: %d pulls for %d jobs; want one per job", name, workers, rep.Pulls, rep.Processed)
+		}
+	}
+	jobs := kernelJobs(t)
+	for _, workers := range []int{1, 2, 5} {
+		run("suite", driver.NewSliceSource(jobs), int64(len(jobs)), workers)
+	}
+	const n = 2000
+	src, err := bench.NewCorpusSource(bench.CorpusSpec{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("corpus", src, n, 2)
 }
 
 // TestStreamMatchesBatch cross-checks the streamed aggregates against
@@ -72,7 +117,7 @@ func TestStreamDeterministicReduction(t *testing.T) {
 func TestStreamMatchesBatch(t *testing.T) {
 	cfg := driver.Config{Algo: driver.New, Workers: 3, RegallocK: 6, Check: analysis.Fast}
 	_, snap := driver.Run(kernelJobs(t), cfg)
-	red, _ := streamOnce(t, cfg, 8)
+	red, _ := streamOnce(t, cfg)
 	counts := func(tot driver.Totals) driver.Totals {
 		tot.Parse, tot.Build, tot.Destruct, tot.Regalloc, tot.Check = 0, 0, 0, 0, 0
 		return tot
@@ -97,41 +142,38 @@ func TestStreamDrainPrecancelled(t *testing.T) {
 	rep := driver.RunStream(ctx, driver.NewSliceSource(kernelJobs(t)), driver.Config{Workers: 2},
 		driver.StreamOptions{}, red)
 	g := red.Global()
-	if rep.Pulls != 0 || rep.Processed != 0 || g.Jobs != 0 || g.Skipped != 0 {
-		t.Fatalf("pulls %d, processed %d, reduced %d jobs and %d skips; want none",
-			rep.Pulls, rep.Processed, g.Jobs, g.Skipped)
+	if rep.Pulls != 0 || rep.Processed != 0 || g.Jobs != 0 {
+		t.Fatalf("pulls %d, processed %d, reduced %d jobs; want none",
+			rep.Pulls, rep.Processed, g.Jobs)
 	}
 }
 
-// TestStreamDrainMidway cancels from inside the reducer after a few
-// jobs: the engine must still account for every pulled job — some
-// compiled, the remainder stamped Skipped. The suite fits in one pull,
-// so every job is pulled before the cancel.
+// TestStreamDrainMidway cancels from inside the tap after a few jobs.
+// Every claimed job must still be compiled and reduced; each of the
+// other workers finishes at most the one job it holds; and the rest of
+// the source stays unpulled.
 func TestStreamDrainMidway(t *testing.T) {
+	const workers, cancelAt = 2, 5
 	jobs := kernelJobs(t)
-	if len(jobs) > driver.DefaultChunk {
-		t.Fatalf("%d jobs do not fit in one pull of %d", len(jobs), driver.DefaultChunk)
-	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	sentinel := errors.New("enough")
-	var reduced atomic.Int64
-	red := driver.NewStreamStats()
+	var tapped atomic.Int64
 	tap := func(r *driver.Result) {
-		if reduced.Add(1) == 5 {
+		if tapped.Add(1) == cancelAt {
 			cancel(sentinel)
 		}
 	}
-	rep := driver.RunStream(ctx, driver.NewSliceSource(jobs), driver.Config{Workers: 2},
-		driver.StreamOptions{Tap: tap}, red)
-	g := red.Global()
-	if got := rep.Processed + rep.Skipped; got != int64(len(jobs)) {
-		t.Fatalf("processed %d + skipped %d != %d jobs", rep.Processed, rep.Skipped, len(jobs))
+	tr := &claimTracker{JobSource: driver.NewSliceSource(jobs), red: driver.NewStreamStats()}
+	rep := driver.RunStream(ctx, tr, driver.Config{Workers: workers}, driver.StreamOptions{Tap: tap}, tr)
+	if tr.reduced != tr.claimed || rep.Processed != tr.claimed {
+		t.Fatalf("claimed %d, processed %d, reduced %d; want every claimed job reduced",
+			tr.claimed, rep.Processed, tr.reduced)
 	}
-	if rep.Processed < 5 {
-		t.Errorf("cancelled after 5 reduces but only %d processed", rep.Processed)
+	if after := tapped.Load() - cancelAt; after < 0 || after > workers-1 {
+		t.Errorf("%d jobs finished after the cancelling one; want 0 to %d", after, workers-1)
 	}
-	if g.Skipped == 0 {
-		t.Errorf("midway cancel skipped nothing (processed %d)", rep.Processed)
+	if tr.claimed >= int64(len(jobs)) {
+		t.Errorf("claimed all %d jobs; a cancel must leave the source unpulled", len(jobs))
 	}
 }
 
@@ -219,7 +261,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 	}
 	defer src.Close()
 	replay := driver.NewStreamStats()
-	rep := driver.RunStream(context.Background(), pullLimit{src, 3}, cfg, driver.StreamOptions{}, replay)
+	rep := driver.RunStream(context.Background(), src, cfg, driver.StreamOptions{}, replay)
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
