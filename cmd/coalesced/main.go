@@ -37,7 +37,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -46,14 +45,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/cache"
 	"fastcoalesce/internal/driver"
-	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/obs"
 	"fastcoalesce/internal/obs/obshttp"
 	"fastcoalesce/internal/ssa"
@@ -156,8 +153,9 @@ func newFrontEnd(pool *driver.ShardPool, rec *obs.Recorder) http.Handler {
 // kernel, it is an attack.
 const maxBody = 8 << 20
 
-// handleCompile accepts one source body, fans its functions through the
-// shard pool, and streams the rewritten IR back in input order.
+// handleCompile accepts one source body, hands it to the shard pool
+// (which compiles its functions, or answers a repeat from its body memo
+// and the cache), and writes the rewritten IR back in input order.
 //
 //	200  compiled (X-Cache: hit when every function was cached)
 //	400  unreadable body, unknown format, parse or compile error
@@ -173,91 +171,36 @@ func (fe *frontEnd) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	name := r.URL.Query().Get("name")
+	q := r.URL.Query()
+	name := q.Get("name")
 	if name == "" {
 		name = "http"
 	}
 
-	jobs, status, err := splitJobs(body, r.URL.Query().Get("format"), name)
-	if err != nil {
-		http.Error(w, err.Error(), status)
+	rep, err := fe.pool.SubmitBody(body, q.Get("format"), name)
+	switch {
+	case errors.Is(err, driver.ErrOverloaded):
+		http.Error(w, "shard queue full; retry later", http.StatusTooManyRequests)
+		return
+	case errors.Is(err, driver.ErrClosed):
+		http.Error(w, "draining for shutdown", http.StatusServiceUnavailable)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	case rep.Err != nil:
+		http.Error(w, rep.Err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	results := make([]driver.Result, 0, len(jobs))
-	hits := 0
-	for _, j := range jobs {
-		res, err := fe.pool.Submit(j)
-		switch {
-		case errors.Is(err, driver.ErrOverloaded):
-			http.Error(w, "shard queue full; retry later", http.StatusTooManyRequests)
-			return
-		case errors.Is(err, driver.ErrClosed):
-			http.Error(w, "draining for shutdown", http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		case res.Err != nil:
-			http.Error(w, res.Err.Error(), http.StatusBadRequest)
-			return
-		}
-		if res.Cached {
-			hits++
-		}
-		results = append(results, res)
-	}
-
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if hits == len(results) {
+	if rep.Hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	for _, res := range results {
-		io.WriteString(w, res.Func.String())
+	for _, text := range rep.Texts {
+		w.Write(text)
 		io.WriteString(w, "\n")
 	}
-}
-
-// splitJobs turns one request body into driver jobs: an .ir body is one
-// function (the pool parses it), a .kl body may hold several (compiled
-// here so each becomes its own job and shard). format is "ir", "kl", or
-// "" to sniff — .ir bodies are the ones with block labels.
-func splitJobs(body []byte, format, name string) ([]driver.Job, int, error) {
-	isIR := false
-	switch format {
-	case "ir":
-		isIR = true
-	case "kl", "":
-		isIR = format == "" && looksLikeIR(body)
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown format %q (want kl or ir)", format)
-	}
-	if isIR {
-		return []driver.Job{{Name: name, Src: string(body), IR: true}}, 0, nil
-	}
-	funcs, err := lang.Compile(string(body))
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	jobs := make([]driver.Job, len(funcs))
-	for i, f := range funcs {
-		jobs[i] = driver.Job{Name: name + ":" + f.Name, Func: f}
-	}
-	return jobs, 0, nil
-}
-
-// looksLikeIR sniffs the body format: IR text carries block labels at
-// the start of a line ("b0:", "b12:"), the mini-language never does.
-func looksLikeIR(body []byte) bool {
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) >= 3 && line[0] == 'b' && line[len(line)-1] == ':' {
-			if _, err := strconv.ParseUint(string(line[1:len(line)-1]), 10, 32); err == nil {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -17,7 +17,7 @@ import (
 
 // newTestFrontEnd assembles the serving stack the way realMain does,
 // sized small, and hands back the handler plus its cache.
-func newTestFrontEnd(t *testing.T) (http.Handler, *driver.ShardPool, *cache.Cache) {
+func newTestFrontEnd(t testing.TB) (http.Handler, *driver.ShardPool, *cache.Cache) {
 	t.Helper()
 	rec := obs.NewRecorder(obs.Options{})
 	c := cache.New(cache.Config{MaxBytes: 8 << 20, Reg: rec.Registry()})
@@ -31,7 +31,7 @@ func newTestFrontEnd(t *testing.T) (http.Handler, *driver.ShardPool, *cache.Cach
 }
 
 // corpus returns every .kl/.ir body under testdata in path order.
-func corpus(t *testing.T) map[string]string {
+func corpus(t testing.TB) map[string]string {
 	t.Helper()
 	dir := filepath.Join("..", "..", "testdata")
 	entries, err := os.ReadDir(dir)
@@ -172,13 +172,27 @@ func TestHealthAndMonitorEndpoints(t *testing.T) {
 	}
 }
 
+// TestFormatSniffing posts an IR body and a kernel-language body with no
+// format: each compiles only if it is sniffed as what it is, and forcing
+// the other format refuses it.
 func TestFormatSniffing(t *testing.T) {
+	handler, _, _ := newTestFrontEnd(t)
 	irBody := "func f(n) {\nb0:\n\tn = param 0\n\tret n\n}\n"
 	klBody := "\nfunc f(n int) int {\n\treturn n\n}"
-	if !looksLikeIR([]byte(irBody)) {
-		t.Error("ir body not sniffed as IR")
-	}
-	if looksLikeIR([]byte(klBody)) {
-		t.Error("kl body sniffed as IR")
+	for _, tc := range []struct {
+		name, query, body string
+		want              int
+	}{
+		{"ir sniffed", "", irBody, http.StatusOK},
+		{"kl sniffed", "", klBody, http.StatusOK},
+		{"ir forced kl", "?format=kl", irBody, http.StatusBadRequest},
+		{"kl forced ir", "?format=ir", klBody, http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/compile"+tc.query, strings.NewReader(tc.body))
+		rr := httptest.NewRecorder()
+		handler.ServeHTTP(rr, req)
+		if rr.Code != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, rr.Code, tc.want, rr.Body.String())
+		}
 	}
 }

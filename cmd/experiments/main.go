@@ -225,6 +225,29 @@ func runScaling() error {
 	fmt.Println("New additionally recomputes dominators and liveness, which every")
 	fmt.Println("pipeline needs and which dominates at scale.")
 
+	// The CFG families the large benchmark runs, at up to eight times its
+	// sizes: claim 7 must hold on deep, wide and irreducible shapes too,
+	// not only on generated programs. µs/block near-constant down a
+	// family is the near-linear growth. Best of ten, because a single
+	// run of a 50 000-block function often takes a collection.
+	fmt.Println("\nCFG families: New's destruction vs size (best of 10)")
+	fmt.Printf("%-20s %6s %8s %12s %12s %10s\n", "family", "n", "blocks", "New(s)", "New-algo(s)", "µs/block")
+	for _, fam := range bench.Families()[:3] {
+		for _, n := range []int{1024, 2048, 4096, 8192} {
+			f := fam.Build(n)
+			var best, algo time.Duration
+			blocks := 0
+			for rep := 0; rep < 10; rep++ {
+				r := bench.RunPipeline(f, bench.New)
+				if rep == 0 || r.PhaseDuration < best {
+					best, algo, blocks = r.PhaseDuration, r.Core.AlgoTime, r.Func.NumBlocks()
+				}
+			}
+			fmt.Printf("%-20s %6d %8d %12.6f %12.6f %10.3f\n", fam.Name, n, blocks,
+				best.Seconds(), algo.Seconds(), float64(best.Microseconds())/float64(blocks))
+		}
+	}
+
 	// The Table 1 headline — the full graph wastes memory quadratically —
 	// shows in the copy-sparse regime: many names, few copies (the shape
 	// of well-optimized code, lowered by a destination-steering front

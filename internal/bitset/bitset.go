@@ -148,13 +148,21 @@ func (s Set) Members() []int {
 // Sets handed out before a Reset must not be used afterwards: New may
 // return aliasing memory. An Arena must not be shared between goroutines.
 type Arena struct {
-	buf []uint64
-	off int
+	buf  []uint64
+	off  int
+	used int // words handed out since the last Reset, across buffers
 }
 
 // Reset recycles the arena: every Set previously returned by New is
-// invalidated and its memory becomes available again.
-func (a *Arena) Reset() { a.off = 0 }
+// invalidated and its memory becomes available again. When the last use
+// outgrew the buffer, the buffer is replaced by one that holds that whole
+// use, so a repeat of it allocates nothing.
+func (a *Arena) Reset() {
+	if a.used > len(a.buf) {
+		a.buf = make([]uint64, a.used)
+	}
+	a.off, a.used = 0, 0
+}
 
 // New returns an empty Set able to hold members in [0, n), carved from
 // the arena. When the buffer is exhausted a larger one is allocated; Sets
@@ -168,6 +176,7 @@ func (a *Arena) New(n int) Set {
 	}
 	s := Set(a.buf[a.off : a.off+words])
 	a.off += words
+	a.used += words
 	s.Clear()
 	return s
 }

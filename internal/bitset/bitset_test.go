@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +154,37 @@ func TestEqual(t *testing.T) {
 	c.Add(200)
 	if a.Equal(c) || c.Equal(a) {
 		t.Fatal("tail member ignored")
+	}
+}
+
+// TestArenaSecondUseAllocatesNothing pins the arena's growth: a cold
+// arena that overflows its buffer during one use gets, at the next Reset,
+// one buffer that holds the whole use, so the same sequence of New calls
+// again allocates nothing — and its Sets still do not alias.
+func TestArenaSecondUseAllocatesNothing(t *testing.T) {
+	var a Arena
+	// 5 100 words: the buffer grows to 1 024, 2 048 and 4 096 words,
+	// and the last holds only the tail of the use.
+	for i := 0; i < 200; i++ {
+		a.New(64 * (i%50 + 1))
+	}
+	a.Reset()
+	sets := make([]Set, 0, 200)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 200; i++ {
+		sets = append(sets, a.New(64*(i%50+1)))
+	}
+	runtime.ReadMemStats(&ms1)
+	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
+		t.Errorf("second use allocated %d objects, want 0", n)
+	}
+	for i, s := range sets {
+		s.Add(i % (64 * (i%50 + 1)))
+	}
+	for i, s := range sets {
+		if s.Count() != 1 || !s.Has(i%(64*(i%50+1))) {
+			t.Fatalf("set %d aliases another: %d members", i, s.Count())
+		}
 	}
 }

@@ -163,14 +163,22 @@ type Scratch struct {
 	// Step 1: the per-block claim table (check 4) as generation-stamped
 	// per-variable slots, and the def-block occupancy of every union-find
 	// root (check 5) as plain block lists with a stamped intersection
-	// probe. occ[root] empty means the singleton {defBlock[root]}.
+	// probe. occ[root] empty means the singleton {defBlock[root]}. Check
+	// 5's other probe reads the φ-related names defined in each block
+	// (relNames[relStart[b]:relStart[b+1]], bucketed from related, the same
+	// names in discovery order); relCount[root] is how many of them its
+	// class's blocks hold, valid while occ[root] is not empty.
 	claimedBy  []int32
 	claimedGen []uint32 // fc:stamp claimGen
 	claimGen   uint32   // fc:epoch
 	occ        [][]ir.BlockID
 	blockMark  []uint32 // fc:stamp blockGen
 	blockGen   uint32   // fc:epoch
-	order      []int    // step-1 φ-arg sort order
+	related    []ir.VarID
+	relStart   []int32
+	relNames   []ir.VarID
+	relCount   []int32
+	order      []int // step-1 φ-arg sort order
 
 	// materializeClasses: per-root class size and class index.
 	classSize   []int32
@@ -297,6 +305,7 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 	sc.claimedGen = reuse.Slice(sc.claimedGen, nv)
 	sc.occ = reuse.Truncated(sc.occ, nv)
 	sc.blockMark = reuse.Slice(sc.blockMark, nb)
+	sc.relCount = reuse.Slice(sc.relCount, nv)
 	sc.lastUse = reuse.Slice(sc.lastUse, nv)
 	sc.lastUseGen = reuse.Slice(sc.lastUseGen, nv)
 	sc.adjHead = reuse.Slice(sc.adjHead, nv)
@@ -342,6 +351,9 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 	} else {
 		c.weight = c.dt.EstimateFrequenciesInto(&sc.freq)
 	}
+	// A name is φ-related from its first φ def or φ argument on; related
+	// lists each once.
+	related := sc.related[:0]
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -352,15 +364,48 @@ func newCoalescer(f *ir.Func, opt Options, sc *Scratch) *coalescer {
 			if in.Op == ir.OpPhi {
 				pi := int32(len(c.phis))
 				c.phis = append(c.phis, phiRec{block: b.ID, idx: i})
+				if !c.isPhiDef[in.Def] && len(c.argUses[in.Def]) == 0 {
+					related = append(related, in.Def)
+				}
 				c.isPhiDef[in.Def] = true
 				c.phiOfDef[in.Def] = pi
 				for _, a := range in.Args {
+					if !c.isPhiDef[a] && len(c.argUses[a]) == 0 {
+						related = append(related, a)
+					}
 					c.argUses[a] = append(c.argUses[a], pi)
 				}
 			}
 		}
 	}
+	sc.related = related
+	c.bucketPhiNames(related)
 	return c
+}
+
+// bucketPhiNames lists the φ-related names — φ defs and φ arguments, the
+// only names step 1 ever unions — by defining block, with a counting
+// sort into sc.relStart/relNames.
+func (c *coalescer) bucketPhiNames(related []ir.VarID) {
+	sc := c.sc
+	nb := len(c.f.Blocks)
+	start := reuse.Zeroed(sc.relStart, nb+2)
+	for _, v := range related {
+		if b := c.defBlock[v]; b != ir.NoBlock {
+			start[b+2]++
+		}
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	names := reuse.Slice(sc.relNames, int(start[nb+1]))
+	for _, v := range related {
+		if b := c.defBlock[v]; b != ir.NoBlock {
+			names[start[b+1]] = v
+			start[b+1]++
+		}
+	}
+	sc.relStart, sc.relNames = start[:nb+1], names
 }
 
 func (c *coalescer) phiInstr(pi int32) *ir.Instr {
@@ -486,11 +531,96 @@ func (c *coalescer) phiArgCmp(x, y int) int {
 }
 
 // defBlockConflict reports whether the classes rooted at r1 and r2 both
-// contain a variable defined in some common block. An empty occupancy
-// list stands for the singleton {defBlock[root]}. The two-list case
-// stamps the smaller list's blocks with a fresh generation and probes the
-// larger, so the cost is linear in the smaller class with no clearing.
+// contain a variable defined in some common block (check 5). An empty
+// occupancy list stands for the singleton {defBlock[root]}. Two probes
+// give the same answer, and each call takes the one that examines fewer
+// entries:
+//   - scan the occupancy lists (scanConflict);
+//   - walk the blocks of one class, look up the φ-related names each
+//     defines, and ask whether one belongs to the other class
+//     (lookupConflict). A class holds only φ-related names, each
+//     defined in a block of its own, so this finds exactly the shared
+//     blocks.
+//
+// The scan costs the two lists' lengths, the lookup its class's blocks
+// plus their φ-related names, so once one class has grown long (an
+// irreducible ladder's φ web) the lookup keeps the check linear in the
+// smaller class.
 func (c *coalescer) defBlockConflict(r1, r2 int) bool {
+	sc := c.sc
+	o1, o2 := sc.occ[r1], sc.occ[r2]
+	if len(o1) == 0 && len(o2) == 0 {
+		return c.defBlock[r1] == c.defBlock[r2]
+	}
+	from, to := r1, r2
+	look := c.lookupCost(r1)
+	if w := c.lookupCost(r2); w < look {
+		from, to, look = r2, r1, w
+	}
+	var got bool
+	if int(look) < len(o1)+len(o2) {
+		got = c.lookupConflict(from, to)
+	} else {
+		got = c.scanConflict(r1, r2)
+	}
+	if conflictHook != nil {
+		conflictHook(c, r1, r2, got)
+	}
+	return got
+}
+
+// conflictHook, when set, sees every two-probe answer of check 5. Tests
+// set it to compare the answer with scanConflict's.
+var conflictHook func(c *coalescer, r1, r2 int, got bool)
+
+// lookupCost is how many entries lookupConflict examines from root's
+// side: each block of root's class and the φ-related names it defines.
+func (c *coalescer) lookupCost(root int) int32 {
+	return int32(max(len(c.sc.occ[root]), 1)) + c.classRelCount(root)
+}
+
+// classRelCount is how many φ-related names the blocks of root's class
+// define.
+func (c *coalescer) classRelCount(root int) int32 {
+	sc := c.sc
+	if len(sc.occ[root]) > 0 {
+		return sc.relCount[root]
+	}
+	b := c.defBlock[root]
+	return sc.relStart[b+1] - sc.relStart[b]
+}
+
+// lookupConflict reports whether a block of from's class defines a
+// member of to's class.
+func (c *coalescer) lookupConflict(from, to int) bool {
+	occ := c.sc.occ[from]
+	if len(occ) == 0 {
+		return c.definesMember(c.defBlock[from], to)
+	}
+	for _, b := range occ {
+		if c.definesMember(b, to) {
+			return true
+		}
+	}
+	return false
+}
+
+// definesMember reports whether block b defines a member of the class
+// rooted at root.
+func (c *coalescer) definesMember(b ir.BlockID, root int) bool {
+	sc := c.sc
+	for _, v := range sc.relNames[sc.relStart[b]:sc.relStart[b+1]] {
+		if c.uf.Find(int(v)) == root {
+			return true
+		}
+	}
+	return false
+}
+
+// scanConflict answers defBlockConflict from the occupancy lists. The
+// two-list case stamps the smaller list's blocks with a fresh generation
+// and probes the larger, with no clearing.
+func (c *coalescer) scanConflict(r1, r2 int) bool {
 	sc := c.sc
 	o1, o2 := sc.occ[r1], sc.occ[r2]
 	switch {
@@ -523,8 +653,10 @@ func (c *coalescer) defBlockConflict(r1, r2 int) bool {
 
 func (c *coalescer) mergeClasses(r1, r2 int) {
 	sc := c.sc
+	rel := c.classRelCount(r1) + c.classRelCount(r2)
 	o1, o2 := c.occOf(r1), c.occOf(r2)
 	root, _ := c.uf.Union(r1, r2)
+	sc.relCount[root] = rel
 	loser := r1 + r2 - root
 	if len(o1) < len(o2) {
 		o1, o2 = o2, o1

@@ -110,6 +110,11 @@ type Job struct {
 	// ShardPool canonicalizes once at submit time (it needs the hash to
 	// pick a shard), so the worker skips re-printing the function.
 	key *cache.Key
+
+	// owned marks a Func the ShardPool parsed or compiled itself from a
+	// request: nobody else holds it, so a miss compiles it in place
+	// instead of cloning it.
+	owned bool
 }
 
 // Result is the outcome of one job, in job order.
@@ -137,6 +142,10 @@ type Result struct {
 	// otherwise). A finding is not an Err: the pipeline produced output,
 	// but the checker disputes it — callers decide how hard to fail.
 	Report *analysis.Report
+
+	// text is Func's canonical text when the cache layer already has it
+	// (a hit's or a fill's Entry.Text; nil without a cache). Read-only.
+	text []byte
 }
 
 // Config configures a batch run. The zero value compiles with the
@@ -280,7 +289,7 @@ func load(j Job, sc *Scratch) (*ir.Func, error) {
 // fromCache answers res from a cache entry: the entry's shared output
 // and the metrics recorded when it was filled, keeping res's parse time.
 func fromCache(res *Result, ent *cache.Entry) {
-	res.Func = ent.Func
+	res.Func, res.text = ent.Func, ent.Text
 	res.Cached = true
 	if fm, ok := ent.Meta.(FuncMetrics); ok {
 		fm.Parse = res.Metrics.Parse
@@ -305,8 +314,9 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 	t0 := time.Now()
 	tr.Begin(obs.PhaseParse)
 	f, err := load(j, sc)
-	if j.Func != nil && cfg.Cache == nil {
-		f = f.Clone() // with a cache, a prebuilt job is cloned only on a miss
+	shared := j.Func != nil && !j.owned
+	if shared && cfg.Cache == nil {
+		f = f.Clone() // with a cache, a shared job is cloned only on a miss
 	}
 	tr.End(obs.PhaseParse)
 	if err != nil {
@@ -341,7 +351,7 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 			fromCache(&res, hitEnt)
 			return res
 		}
-		if j.Func != nil {
+		if shared {
 			f = j.Func.Clone()
 		}
 	}
@@ -427,15 +437,17 @@ func compileOne(idx int, j Job, cfg Config, sc *Scratch) Result {
 				res.Err = fmt.Errorf("%s: cache revalidation: cached output differs from fresh compile under %v", res.Name, cfg.Algo)
 				return res
 			}
+			res.text = hitEnt.Text
 		} else {
 			// Fill: store a private clone (callers may mutate res.Func)
 			// with the output text as the byte-identity witness and the
 			// shape counts as metadata, durations zeroed.
 			meta := res.Metrics
 			meta.Parse, meta.Build, meta.Destruct, meta.Check, meta.Regalloc = 0, 0, 0, 0, 0
+			res.text = f.AppendText(nil)
 			cfg.Cache.Put(key, &cache.Entry{
 				Func: f.Clone(),
-				Text: f.AppendText(nil),
+				Text: res.text,
 				Meta: meta,
 			})
 		}

@@ -9,6 +9,8 @@ import (
 
 	"fastcoalesce/internal/analysis"
 	"fastcoalesce/internal/cache"
+	"fastcoalesce/internal/ir"
+	"fastcoalesce/internal/lang"
 	"fastcoalesce/internal/obs"
 )
 
@@ -61,10 +63,11 @@ type shardWorker struct {
 // Each shard's queue is bounded; a full queue rejects with
 // ErrOverloaded rather than queueing unboundedly. When Config.Cache is
 // set and Config.Check is off, Submit checks it before enqueueing at
-// all, so a warm hit never touches a queue.
+// all, so a warm hit never touches a queue, and SubmitBody answers a
+// body it has compiled before from its body memo without parsing it.
 //
-// Submit is safe from any number of goroutines. Close drains: queued
-// jobs finish, new submissions get ErrClosed.
+// Submit and SubmitBody are safe from any number of goroutines. Close
+// drains: queued jobs finish, new submissions get ErrClosed.
 type ShardPool struct {
 	cfg     Config
 	workers []*shardWorker
@@ -84,6 +87,11 @@ type ShardPool struct {
 	nRejected atomic.Int64
 
 	canon sync.Pool // *[]byte: per-submit canonicalization buffers
+	langs sync.Pool // *lang.Scratch: the front end's memory for source jobs
+
+	// memo maps a raw body to its functions' cache keys (SubmitBody); nil
+	// without a cache or under an audit.
+	memo *bodyMemo
 }
 
 // ShardStats is a point-in-time summary of a pool.
@@ -127,6 +135,10 @@ func NewShardPool(cfg ShardConfig) *ShardPool {
 	}
 	p.bm.batches.Inc()
 	p.canon.New = func() any { return new([]byte) }
+	p.langs.New = func() any { return new(lang.Scratch) }
+	if c.Cache != nil && c.Check == analysis.None {
+		p.memo = new(bodyMemo)
+	}
 	p.workers = make([]*shardWorker, pow)
 	for i := range p.workers {
 		w := &shardWorker{
@@ -166,21 +178,32 @@ func (p *ShardPool) run(w *shardWorker) {
 // key. When the pool has a cache and audits nothing, a resident entry
 // is returned immediately without enqueueing anything.
 func (p *ShardPool) Submit(j Job) (Result, error) {
+	res, _, err := p.submit(j)
+	return res, err
+}
+
+// submit is Submit, also returning the job's cache key (zero when its
+// source did not load).
+func (p *ShardPool) submit(j Job) (Result, cache.Key, error) {
 	p.requests.Inc()
 	p.nRequests.Add(1)
 	idx := int(p.seq.Add(1)) - 1
 	res := Result{Index: idx, Name: j.Name}
 
 	// Materialize the function: the router hashes canonical IR text, so
-	// source forms parse here rather than on the shard.
+	// source forms parse here rather than on the shard. A function
+	// parsed here is the pool's own, so a miss compiles it in place.
 	t0 := time.Now()
-	f, err := load(j, nil)
-	if err != nil {
-		res.Err = err
-		p.bm.observe(&res)
-		return res, nil
+	if j.Func == nil {
+		f, err := p.load(j)
+		if err != nil {
+			res.Err = err
+			p.bm.observe(&res)
+			return res, cache.Key{}, nil
+		}
+		j.Func, j.Src, j.owned = f, "", true
 	}
-	j.Func, j.Src = f, ""
+	f := j.Func
 	if res.Name == "" {
 		res.Name = f.Name
 		j.Name = res.Name
@@ -200,7 +223,7 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 		if ent, ok := p.cfg.Cache.Get(key); ok {
 			fromCache(&res, ent)
 			p.bm.observe(&res)
-			return res, nil
+			return res, key, nil
 		}
 	}
 
@@ -210,7 +233,7 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		return res, ErrClosed
+		return res, key, ErrClosed
 	}
 	select {
 	case shard.queue <- req:
@@ -220,12 +243,40 @@ func (p *ShardPool) Submit(j Job) (Result, error) {
 		p.mu.RUnlock()
 		p.rejected.Inc()
 		p.nRejected.Add(1)
-		return res, ErrOverloaded
+		return res, key, ErrOverloaded
 	}
 
 	out := <-req.reply
 	out.Metrics.Parse += res.Metrics.Parse
-	return out, nil
+	return out, key, nil
+}
+
+// load materializes a source job on the caller's goroutine: IR text
+// parsed, kernel-language source compiled on a pooled front-end scratch
+// (cold under Config.NoScratch).
+func (p *ShardPool) load(j Job) (*ir.Func, error) {
+	if j.IR {
+		return ir.Parse(j.Src)
+	}
+	sc := p.getLang()
+	defer p.putLang(sc)
+	return lang.CompileOneScratch(j.Src, sc)
+}
+
+// getLang takes a front-end scratch from the pool, or returns nil under
+// Config.NoScratch, on which the lang entry points compile cold.
+func (p *ShardPool) getLang() *lang.Scratch {
+	if p.cfg.NoScratch {
+		return nil
+	}
+	return p.langs.Get().(*lang.Scratch)
+}
+
+// putLang gives back a scratch from getLang.
+func (p *ShardPool) putLang(sc *lang.Scratch) {
+	if sc != nil {
+		p.langs.Put(sc)
+	}
 }
 
 // shardIndex folds the key's leading bytes into the routing integer

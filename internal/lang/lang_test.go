@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fastcoalesce/internal/interp"
+	"fastcoalesce/internal/ir"
 )
 
 func run(t *testing.T, src string, args []int64, arrays [][]int64) int64 {
@@ -357,6 +358,48 @@ func b() int { return 2 }
 	}
 	if len(fs) != 2 || fs[0].Name != "a" || fs[1].Name != "b" {
 		t.Fatalf("got %d funcs", len(fs))
+	}
+}
+
+// TestCompileScratchMatchesCompile compiles multi-function files on one
+// reused Scratch: each list matches a cold Compile's text, and a list
+// stays intact after the Scratch compiles the next file.
+func TestCompileScratchMatchesCompile(t *testing.T) {
+	srcs := []string{
+		"func a(n int) int { var s int = 0\n for var i = 0; i < n; i = i + 1 { s = s + i }\n return s }\nfunc b() int { return 2 }",
+		"func c(x int, y []int) int { if x > 0 { y[0] = x }\n return len(y) }",
+		"func d() int { return 4 }\nfunc e(p int) int { while p > 9 { p = p - 9 }\n return p }\nfunc f() int { return 6 }",
+	}
+	var sc Scratch
+	var kept [][]*ir.Func
+	var want []string
+	for _, src := range srcs {
+		cold, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := CompileScratch(src, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, warm)
+		var b strings.Builder
+		for _, f := range cold {
+			b.WriteString(f.String())
+		}
+		want = append(want, b.String())
+	}
+	if _, err := CompileScratch("func oops(", &sc); err == nil {
+		t.Fatal("CompileScratch accepted a parse error")
+	}
+	for i, fs := range kept {
+		var b strings.Builder
+		for _, f := range fs {
+			b.WriteString(f.String())
+		}
+		if b.String() != want[i] {
+			t.Errorf("file %d: warm list differs from cold Compile:\n%s\nwant\n%s", i, b.String(), want[i])
+		}
 	}
 }
 

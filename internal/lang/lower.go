@@ -6,6 +6,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fastcoalesce/internal/ir"
@@ -75,6 +76,22 @@ func compile(src string, opt CompileOptions, sc *Scratch) ([]*ir.Func, error) {
 		out = append(out, f)
 	}
 	sc.funcs = out
+	return out, nil
+}
+
+// CompileScratch is Compile on sc's memory, as CompileOneScratch is
+// CompileOne's: the functions and the list returned are the caller's. A
+// nil sc compiles cold.
+func CompileScratch(src string, sc *Scratch) ([]*ir.Func, error) {
+	if sc == nil {
+		return Compile(src)
+	}
+	fs, err := compile(src, CompileOptions{}, sc)
+	if err != nil {
+		return nil, err
+	}
+	out := slices.Clone(fs)
+	clear(fs)
 	return out, nil
 }
 
